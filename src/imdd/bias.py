@@ -108,17 +108,13 @@ class FoldValue:
     k_trunc: int
 
 
-def _decay(pulse: pulses.PulseSpec) -> tuple[float, float, float]:
-    return pulses.tail_envelope(pulse)
-
-
 def _k_for(pulse: pulses.PulseSpec, tol: float) -> int:
-    p, coef, u0 = _decay(pulse)
+    p, coef, u0 = pulses.tail_envelope(pulse)
     return _series.k_for_tol(p, coef, u0, tol)
 
 
 def _fold(pulse: pulses.PulseSpec, t, k: int):
-    p, _, _ = _decay(pulse)
+    p, _, _ = pulses.tail_envelope(pulse)
     return _series.folded_pair(lambda tt: pulses.evaluate(pulse, tt),
                                pulse.ts, t, k, p - 1.0)
 
@@ -164,7 +160,7 @@ def _search(family: str, alpha: float, ts: float, ratio: float,
     shares one search.
     """
     pulse = pulses.PulseSpec(family, alpha, ts)
-    p, _, _ = _decay(pulse)
+    p, _, _ = pulses.tail_envelope(pulse)
     even = family != "xia"
 
     tol1 = max(tail_tol, _STAGE1_TOL_FLOOR)

@@ -203,7 +203,7 @@ def _run_ser(cfg: RunConfig, t0: float) -> int:
                         pulse=pulses.PulseSpec(family, alpha, cfg.ts),
                         constellation=bias.Constellation.pam(m),
                         receiver=cfg.receiver or "sampling",
-                        a=cfg.a, n0=cfg.n0, rate=cfg.rate, seed=cfg.seed,
+                        a=cfg.a, n0=cfg.n0, seed=cfg.seed,
                         allow_isi=cfg.allow_isi)
                     est = link.monte_carlo_ser(lc, cfg.n_symbols, cfg.target)
                     rows.append((family, alpha, m, lc.receiver, cfg.a,
@@ -428,7 +428,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=100_000, dest="n_symbols")
     p.add_argument("--target", type=int, default=None,
                    help="stop once this many symbol errors are seen")
-    p.add_argument("--rate", type=int, default=32)
     p.add_argument("--allow-isi", action="store_true")
 
     p = sub.add_parser("gain", parents=[common],

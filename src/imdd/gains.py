@@ -11,10 +11,6 @@ The A_ref/A factor is 1 for the equal-eye scenario written against a unit
 eye per amplitude (Delta_a q(0) absorbs it), and the closed-form
 equal-SER amplitude ratio otherwise.  Written this way the reference maps
 to exactly 0 dB, which is what pins the curves' absolute level.
-
-``gain_db_unnormalized`` keeps the same quantity without the reference's
-E{a} = 1/2 factor (3.01 dB above gain_db); it exists for debugging
-against sources that drop that factor and is not part of the CSV schema.
 """
 
 from __future__ import annotations
@@ -27,8 +23,6 @@ from . import link, pulses
 from .errors import DomainError, UnsupportedError
 
 SCENARIOS = ("equal-eye", "equal-ser")
-
-_DB2 = 10.0 * math.log10(2.0)
 
 
 @dataclass(frozen=True)
@@ -45,7 +39,6 @@ class GainPoint:
     mu: float
     q_bar: float
     q_zero: float
-    gain_db_unnormalized: float
 
 
 @dataclass(frozen=True)
@@ -141,8 +134,7 @@ def gain_point(scenario: str, receiver: str, pulse: pulses.PulseSpec,
     return GainPoint(
         scenario=scenario, receiver=receiver, pulse=pulse.family,
         alpha=pulse.alpha, m=m, b_tb=meta.b_ts / math.log2(m),
-        gain_db=gain, mu=mu, q_bar=meta.q_bar, q_zero=meta.q_zero,
-        gain_db_unnormalized=gain + _DB2)
+        gain_db=gain, mu=mu, q_bar=meta.q_bar, q_zero=meta.q_zero)
 
 
 def valid_receivers(family: str, scenario: str) -> tuple[str, ...]:

@@ -1,17 +1,29 @@
 """Simulated link: AWGN, sampling / matched-filter receivers, SER.
 
-The sampling receiver's ideal lowpass front end passes the bandlimited
-waveform unchanged, so its noise-free samples follow the closed form
-r_i = A G0 (mu + a_i q(0)) directly and noise is injected at the samples
-with sigma = G0 sqrt(N0 B) — exact, no filter realization needed.
+Both receivers share one symbol-rate model.  The noise-free output at
+t = i ts is
 
-The matched filter is exercised honestly in discrete time: the
-data-bearing part of the waveform is correlated with the sampled pulse at
-the configured oversampling rate.  The DC pedestal is handled analytically
-(the bias is on for all time, so its filtered contribution is exactly
-A zeta mu Q(0) at every output sample); a finite simulation window cannot
-capture that integral to useful accuracy for 1/t^2 pulse tails.  Matched
-noise is injected at the samples with sigma = zeta sqrt(N0 Eq / 2).
+    r_i = gain * (dc + sum_k a_{i-k} h_k)
+
+with a gain, a DC term and taps h per configuration (``_taps``):
+
+* sampling: gain = A G0, dc = mu and h_k = q(k ts).  The ideal lowpass
+  front end passes the bandlimited waveform unchanged, so no filter
+  realization is needed.
+* matched: gain = A zeta, dc = mu Q(0) and h_k = rho(k ts), the pulse
+  autocorrelation.  The bias is on for all time, so its filtered
+  contribution is exactly mu Q(0) = mu q_bar ts at every output sample.
+
+For the ISI-free pairs (Nyquist pulses on the sampling receiver,
+root-Nyquist pulses on the matched one) every h_k with k != 0 vanishes and
+a single closed-form tap remains: q(0), or rho(0) = Eq, since for ``rrc``
+and ``xia`` rho is Eq times the raised cosine (Xia 1997).  ``allow_isi``
+pairs keep the taps over |k| <= ``waveform.effective_guard`` symbols,
+beyond which the pulse envelope is below its fixed floor; the ISI tail
+past that window is dropped.
+
+Noise is injected at the samples: sigma = G0 sqrt(N0 B) for sampling,
+zeta sqrt(N0 Eq / 2) for the matched filter.
 """
 
 from __future__ import annotations
@@ -28,11 +40,6 @@ from . import pulses, waveform
 from .errors import DomainError, UnsupportedError
 
 RECEIVERS = ("sampling", "matched")
-
-# internal guard (symbols) for the discrete matched-filter window; outside
-# it the data waveform and the pulse both decay like 1/t^2, so the
-# data-tail truncation error falls off like the cube of this length
-MATCHED_GUARD = 512
 
 MC_CHUNK = 16384
 MC_MIN_SYMBOLS = 10_000
@@ -52,7 +59,6 @@ class LinkConfig:
     n0: float = 1.0
     g0: float = 1.0
     zeta: float = 1.0
-    rate: int = 32
     seed: int = 0
     allow_isi: bool = False
 
@@ -63,8 +69,6 @@ class LinkConfig:
             raise DomainError("amplitude a must be nonnegative")
         if self.n0 < 0:
             raise DomainError("n0 must be nonnegative")
-        if self.rate < waveform.MIN_RATE:
-            raise DomainError(f"rate must be >= {waveform.MIN_RATE}")
         meta = pulses.metadata(self.pulse)
         if not self.allow_isi:
             if self.receiver == "sampling" and not meta.is_nyquist:
@@ -119,32 +123,20 @@ def noise_free_levels(cfg: LinkConfig) -> np.ndarray:
     return cfg.a * cfg.zeta * (mu * q0_area + levels * _energy(cfg))
 
 
-def _sampling_det(cfg: LinkConfig, symbols: np.ndarray) -> np.ndarray:
-    mu = _required_mu(cfg)
-    w = waveform.effective_guard(cfg.pulse)
-    lags = np.arange(-w, w + 1, dtype=float) * cfg.pulse.ts
-    taps = pulses.evaluate(cfg.pulse, lags)
-    train = np.convolve(symbols, taps)[w:w + symbols.size]
-    return cfg.a * cfg.g0 * (mu + train)
-
-
-def _matched_det(cfg: LinkConfig, symbols: np.ndarray) -> np.ndarray:
-    mu = _required_mu(cfg)
+def _taps(cfg: LinkConfig) -> tuple[float, float, np.ndarray]:
+    """(dc, gain, h) of the symbol-rate model; h is centred on k = 0."""
     meta = pulses.metadata(cfg.pulse)
-    rate, ts = cfg.rate, cfg.pulse.ts
-    guard = max(waveform.effective_guard(cfg.pulse), MATCHED_GUARD)
-    n = symbols.size
-    n_grid = rate * (n + 2 * guard)
-    up = np.zeros(n_grid)
-    up[guard * rate::rate][:n] = symbols
-    tap_t = np.arange(1 - n_grid, n_grid) * (ts / rate)
-    taps = pulses.evaluate(cfg.pulse, tap_t)
-    x_ac = cfg.a * fftconvolve(up, taps, mode="same")
-    # correlate with the pulse: r(t) = zeta Int x(tau) q(tau - t) dtau
-    r = fftconvolve(x_ac, taps[::-1], mode="same") * (cfg.zeta * ts / rate)
-    out = r[guard * rate::rate][:n]
-    dc = cfg.a * cfg.zeta * mu * meta.q_bar * ts
-    return dc + out
+    mu = _required_mu(cfg)
+    ts = cfg.pulse.ts
+    if cfg.receiver == "sampling":
+        dc, gain, response = mu, cfg.a * cfg.g0, pulses.evaluate
+        isi_free = meta.is_nyquist
+    else:
+        dc, gain = mu * (meta.q_bar * ts), cfg.a * cfg.zeta
+        response, isi_free = pulses.autocorrelation, meta.is_root_nyquist
+    # an ISI-free pair's taps vanish at k != 0: h = [q(0)] or [Eq]
+    w = 0 if isi_free else waveform.effective_guard(cfg.pulse)
+    return dc, gain, response(cfg.pulse, np.arange(-w, w + 1) * ts)
 
 
 def receiver_samples(cfg: LinkConfig, symbols, *, noise: bool = True,
@@ -153,10 +145,9 @@ def receiver_samples(cfg: LinkConfig, symbols, *, noise: bool = True,
     applied internally.  With noise on, i.i.d. Gaussian samples of standard
     deviation noise_sigma(cfg) are added."""
     symbols = np.asarray(symbols, dtype=float)
-    if cfg.receiver == "sampling":
-        det = _sampling_det(cfg, symbols)
-    else:
-        det = _matched_det(cfg, symbols)
+    dc, gain, h = _taps(cfg)
+    w = h.size // 2
+    det = gain * (dc + fftconvolve(symbols, h)[w:w + symbols.size])
     if not noise:
         return det
     if rng is None:
@@ -225,7 +216,8 @@ def monte_carlo_ser(cfg: LinkConfig, n_symbols: int,
     if n_symbols < MC_MIN_SYMBOLS:
         raise DomainError(f"n_symbols must be >= {MC_MIN_SYMBOLS}")
     levels = np.asarray(cfg.constellation.levels)
-    thresholds = 0.5 * (noise_free_levels(cfg)[:-1] + noise_free_levels(cfg)[1:])
+    table = noise_free_levels(cfg)
+    thresholds = 0.5 * (table[:-1] + table[1:])
     sigma = noise_sigma(cfg)
 
     n_chunks = math.ceil(n_symbols / MC_CHUNK)

@@ -237,11 +237,6 @@ def _lattice(pulse: PulseSpec, rate: int, tol: float, p_eff: float,
     return m * (pulse.ts / rate), m_half
 
 
-def _extrapolate(core: complex, wing: complex, decay: float):
-    """One Richardson step for a tail decaying like M^(-decay)."""
-    return core + wing + wing / (2.0 ** decay - 1.0)
-
-
 def spectrum_at(pulse: PulseSpec, omega: float, tol: float = 1e-9) -> complex:
     """Fourier transform Q(omega) = Int q(t) exp(-j omega t) dt.
 
@@ -262,7 +257,8 @@ def spectrum_at(pulse: PulseSpec, omega: float, tol: float = 1e-9) -> complex:
     inner = slice(n - m_half, n + m_half + 1)
     core = vals[inner].sum()
     wing = vals.sum() - core
-    return complex(_extrapolate(core, wing, p - 1.0) * (pulse.ts / rate))
+    return complex(_series.extrapolate(core, wing, p - 1.0)
+                   * (pulse.ts / rate))
 
 
 def energy(pulse: PulseSpec, tol: float = 1e-9) -> float:
@@ -277,14 +273,30 @@ def energy(pulse: PulseSpec, tol: float = 1e-9) -> float:
     n = len(times) // 2
     core = vals[n - m_half:n + m_half + 1].sum()
     wing = vals.sum() - core
-    return float(_extrapolate(core, wing, 2.0 * p - 1.0) * (pulse.ts / rate))
+    return float(_series.extrapolate(core, wing, 2.0 * p - 1.0)
+                 * (pulse.ts / rate))
 
 
 def autocorrelation(pulse: PulseSpec, tau, tol: float = 1e-9):
-    """Autocorrelation Int q(t) q(t - tau) dt for scalar or array ``tau``.
+    """Autocorrelation rho(tau) = Int q(t) q(t - tau) dt for scalar or array
+    ``tau``; absolute error <= tol*ts per point.
 
-    Absolute error <= tol*ts per point.
+    For the root-Nyquist families (``rrc``, ``xia``) rho is the pulse energy
+    times the raised cosine of the same roll-off (Xia 1997), returned in
+    closed form; every other family goes through the lattice sum.
     """
+    if tol <= 0:
+        raise DomainError("tol must be positive")
+    meta = metadata(pulse)
+    if meta.is_root_nyquist:
+        rc = PulseSpec("rc", pulse.alpha, pulse.ts)
+        return meta.energy_ratio * pulse.ts * evaluate(rc, tau)
+    return lattice_autocorrelation(pulse, tau, tol)
+
+
+def lattice_autocorrelation(pulse: PulseSpec, tau, tol: float = 1e-9):
+    """Autocorrelation of any family by the exact bandlimited lattice sum of
+    q(t) q(t - tau); absolute error <= tol*ts per point."""
     if tol <= 0:
         raise DomainError("tol must be positive")
     tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
@@ -305,7 +317,7 @@ def autocorrelation(pulse: PulseSpec, tau, tol: float = 1e-9):
         prod = q0[None, :] * evaluate(pulse, times[None, :] - tt[:, None])
         core = prod[:, n - m_half:n + m_half + 1].sum(axis=1)
         wing = prod.sum(axis=1) - core
-        out[lo:lo + chunk] = _extrapolate(core, wing, 2.0 * p - 1.0) \
+        out[lo:lo + chunk] = _series.extrapolate(core, wing, 2.0 * p - 1.0) \
             * (pulse.ts / rate)
     return float(out[0]) if scalar else out
 

@@ -93,15 +93,16 @@ def adversarial_symbols(pulse: pulses.PulseSpec,
     raise DomainError(f"unknown seek {seek!r}")
 
 
-def _superpose(pulse: pulses.PulseSpec, full_symbols: np.ndarray,
+def _superpose(response, pulse: pulses.PulseSpec, full_symbols: np.ndarray,
                rate: int) -> np.ndarray:
-    """sum_k a_k q(t - k ts) on the uniform grid covering the symbols."""
+    """sum_k a_k h(t - k ts) on the uniform grid covering the symbols, where
+    h(t) = response(pulse, t): the pulse q itself or its autocorrelation."""
     n_total = full_symbols.size
     n_grid = rate * n_total
     up = np.zeros(n_grid)
     up[::rate] = full_symbols
     tap_t = np.arange(1 - n_grid, n_grid) * (pulse.ts / rate)
-    taps = pulses.evaluate(pulse, tap_t)
+    taps = response(pulse, tap_t)
     return fftconvolve(up, taps, mode="same")
 
 
@@ -145,7 +146,7 @@ def synthesize(pulse: pulses.PulseSpec, constellation: _bias.Constellation,
         raise DomainError(f"unknown guard_mode {guard_mode!r}")
 
     full = np.concatenate([left, symbols, right])
-    train = _superpose(pulse, full, rate)
+    train = _superpose(pulses.evaluate, pulse, full, rate)
     return WaveformGrid(samples=a * (mu + train), rate=rate,
                         t0=-guard * pulse.ts, ts=pulse.ts,
                         symbol_span=(0, n), scale_a=a, bias_mu=mu)
@@ -191,18 +192,6 @@ def optical_powers(pulse: pulses.PulseSpec,
     return OpticalPowers(p_opt, best, "grid-lower-bound")
 
 
-def _matched_train(pulse: pulses.PulseSpec, full_symbols: np.ndarray,
-                   rate: int) -> np.ndarray:
-    """sum_k a_k rho(t - k ts) where rho is the pulse autocorrelation."""
-    n_total = full_symbols.size
-    n_grid = rate * n_total
-    up = np.zeros(n_grid)
-    up[::rate] = full_symbols
-    tap_t = np.arange(1 - n_grid, n_grid) * (pulse.ts / rate)
-    taps = pulses.autocorrelation(pulse, tap_t, tol=1e-10)
-    return fftconvolve(up, taps, mode="same")
-
-
 def eye_diagram(pulse: pulses.PulseSpec, constellation: _bias.Constellation,
                 receiver: str = "sampling", n_traces: int = 64,
                 rate: int = 32, seed: int = 0, *,
@@ -212,7 +201,8 @@ def eye_diagram(pulse: pulses.PulseSpec, constellation: _bias.Constellation,
 
     The sampling receiver's front end passes the (bandlimited) waveform
     unchanged, so its traces are g0*x(t).  The matched receiver's
-    deterministic output is zeta*a*(mu*Q0 + sum a_k rho(t - k ts)).
+    deterministic output is zeta*a*(mu*Q0 + sum a_k rho(t - k ts)), with
+    the closed-form rho of the root-Nyquist pulses.
     """
     if n_traces < 1:
         raise DomainError("n_traces must be >= 1")
@@ -238,10 +228,11 @@ def eye_diagram(pulse: pulses.PulseSpec, constellation: _bias.Constellation,
                            rng.choice(levels, size=guard)])
 
     if receiver == "sampling":
-        r = g0 * a * (mu + _superpose(pulse, full, rate))
+        r = g0 * a * (mu + _superpose(pulses.evaluate, pulse, full, rate))
     else:
         q0_area = meta.q_bar * pulse.ts
-        r = zeta * a * (mu * q0_area + _matched_train(pulse, full, rate))
+        train = _superpose(pulses.autocorrelation, pulse, full, rate)
+        r = zeta * a * (mu * q0_area + train)
 
     win = 2 * rate
     traces = np.empty((n_traces, win))

@@ -1,9 +1,12 @@
 """Command-line interface: artifact formats, exit codes, reproducibility."""
 
 import json
+import pathlib
+import warnings
 
 import pytest
 
+import imdd
 from imdd import cli
 
 
@@ -274,6 +277,15 @@ class TestArgumentErrors:
             cli.main(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("imdd ")
+
+    def test_package_version_is_the_module_version(self):
+        # the package metadata reads imdd.__version__; no second copy
+        pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+        config = pytest.importorskip("setuptools.config.pyprojecttoml")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            project = config.read_configuration(pyproject)["project"]
+        assert project["version"] == imdd.__version__
 
 
 class TestReproduce:

@@ -131,8 +131,6 @@ class TestGainPoint:
         assert pt.q_bar == 1.0
         assert pt.q_zero == 1.0
         assert pt.mu == pytest.approx(3 * 0.250263596842, abs=3e-8)
-        assert pt.gain_db_unnormalized == pytest.approx(
-            pt.gain_db + 10 * math.log10(2.0), rel=1e-12)
 
     def test_equal_ser_point_matches_direct_call(self):
         p = pulses.PulseSpec("xia", 0.5)

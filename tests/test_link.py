@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from imdd import bias, link, pulses
+from imdd import bias, link, pulses, waveform
 from imdd.errors import DomainError, UnsupportedError
 
 OOK = bias.Constellation.pam(2)
@@ -38,10 +38,6 @@ class TestConfigValidation:
     def test_negative_noise(self):
         with pytest.raises(DomainError):
             cfg_rc(n0=-0.1)
-
-    def test_rate_floor(self):
-        with pytest.raises(DomainError):
-            cfg_rc(rate=8)
 
     def test_isi_guards(self):
         # root-only pulse on the sampling receiver
@@ -146,6 +142,35 @@ class TestReceiverSamples:
         a = link.receiver_samples(cfg, sym, rng=rng)
         b = link.receiver_samples(cfg, sym, rng=rng)
         assert not np.array_equal(a, b)
+
+
+class TestIsiTaps:
+    """allow_isi pairs keep the symbol-rate response h_k over the pulse's
+    guard window |k| <= effective_guard: a unit impulse (over the all-zero
+    block, which carries the DC term) returns h_k and nothing beyond."""
+
+    @pytest.mark.parametrize("family, receiver, response", [
+        ("rc", "matched", "autocorrelation"),
+        ("pl", "matched", "autocorrelation"),
+        ("rrc", "sampling", "evaluate"),
+    ])
+    def test_impulse_returns_taps(self, family, receiver, response):
+        p = pulses.PulseSpec(family, 0.5)
+        h_of = getattr(pulses, response)
+        cfg = link.LinkConfig(pulse=p, constellation=OOK, receiver=receiver,
+                              allow_isi=True)
+        w = waveform.effective_guard(p)
+        k = np.arange(-w - 4, w + 5)
+        det = link.receiver_samples(cfg, (k == 0).astype(float), noise=False)
+        base = link.receiver_samples(cfg, np.zeros(k.size), noise=False)
+        inside = np.abs(k) <= w
+        np.testing.assert_allclose((det - base)[inside],
+                                   h_of(p, k[inside] * p.ts),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose((det - base)[~inside], 0.0,
+                                   rtol=0, atol=1e-12)
+        # the window truncates a real tail
+        assert abs(h_of(p, (w + 1) * p.ts)) > 1e-6
 
 
 class TestQInverse:
