@@ -6,11 +6,12 @@ smallest bias keeping x nonnegative for every admissible symbol sequence is
     mu = max_{0 <= t < ts} [ (a_hat - L) * sum_k |q(t - k ts)|
                              - L * sum_k q(t - k ts) ]
 
-with L the midpoint of the constellation.  Both folded sums are evaluated
-with the same truncation half-width so that for pulses that never go
-negative the two sums cancel exactly and mu is 0 to machine precision.
-For bandwidths B*ts <= 1 the signed fold is constant in t (equal to q_bar),
-which the test suite certifies; the optimizer does not assume it.
+with L the midpoint of the constellation.  For a pulse that never goes
+negative the two sums are equal, so when the lowest level is 0 (a_hat = 2L,
+every unipolar PAM) mu is exactly 0 at every t: such searches return mu = 0
+at argmax_t = 0 without searching.  For bandwidths B*ts <= 1 the signed
+fold is constant in t (equal to q_bar), which the test suite certifies; the
+optimizer does not assume it.
 """
 
 from __future__ import annotations
@@ -158,14 +159,26 @@ def _search(family: str, alpha: float, ts: float, ratio: float,
     the leading basins, then one high-accuracy polish at the winner.  The
     cache key includes ratio = L/(a_hat - L), so every uniform-PAM order
     shares one search.
+
+    The three stage budgets are computed before any fold, so a tail too
+    slow for tail_tol raises NumericalDivergenceError at no cost.  For a
+    nonnegative pulse at ratio 1 (lowest level 0) the objective is exactly
+    0 at every t, so there is no search: the result sits at t = 0 with the
+    full-accuracy budget k3.
     """
     pulse = pulses.PulseSpec(family, alpha, ts)
-    p, _, _ = pulses.tail_envelope(pulse)
     even = family != "xia"
 
     tol1 = max(tail_tol, _STAGE1_TOL_FLOOR)
     tol2 = max(tail_tol, _STAGE2_TOL_FLOOR)
     k1 = _k_for(pulse, tol1)
+    k2 = _k_for(pulse, tol2)
+    k3 = max(_k_for(pulse, tail_tol), k2)
+
+    if ratio == 1.0 and pulses.metadata(pulse).nonnegative:
+        fa, fs = _fold(pulse, 0.0, k3)
+        return _SearchResult(0.0, float(fa[0]), float(fs[0]), 0.0, k3)
+
     if even:
         n_pts = grid_n // 2 + 1
         grid = np.linspace(0.0, 0.5 * ts, n_pts)
@@ -185,11 +198,12 @@ def _search(family: str, alpha: float, ts: float, ratio: float,
     cand = cand[np.argsort(obj[cand])[::-1]]
     cand = cand[obj[cand] >= obj[cand[0]] - 20.0 * tol1][:6]
 
-    k2 = _k_for(pulse, tol2)
+    def folded(t: float, k: int) -> tuple[float, float, float]:
+        fa, fs = _fold(pulse, t, k)
+        return float(fa[0] - ratio * fs[0]), float(fa[0]), float(fs[0])
 
     def surrogate(t: float, k: int) -> float:
-        fa, fs = _fold(pulse, t, k)
-        return float(fa[0] - ratio * fs[0])
+        return folded(t, k)[0]
 
     step = grid[1] - grid[0]
     refined = []
@@ -213,27 +227,29 @@ def _search(family: str, alpha: float, ts: float, ratio: float,
 
     # polish every candidate the stage-2 error cannot separate from the
     # leader, then decide on the polished values; a parabolic top-up on the
-    # full-accuracy surface absorbs the residual argmax displacement
-    k3 = max(_k_for(pulse, tail_tol), k2)
+    # full-accuracy surface absorbs the residual argmax displacement.  The
+    # winner is refolded only if wrapping into [0, ts) moved it.
     best = None
     for t_c, v_c in refined:
         if v_c < best_stage2 - 10.0 * tol2:
             continue
         h = 1e-4 * ts
         tri = [t_c - h, t_c, t_c + h]
-        vals = [surrogate(t, k3) for t in tri]
-        d2 = vals[0] - 2.0 * vals[1] + vals[2]
+        polished = [folded(t, k3) for t in tri]
+        v0, v1, v2 = (v for v, _, _ in polished)
+        d2 = v0 - 2.0 * v1 + v2
         if d2 < 0.0:
-            t_v = t_c + 0.5 * h * (vals[0] - vals[2]) / d2
+            t_v = t_c + 0.5 * h * (v0 - v2) / d2
             if abs(t_v - t_c) < 8.0 * h:
                 tri.append(t_v)
-                vals.append(surrogate(t_v, k3))
-        t_best = tri[int(np.argmax(vals))]
-        t_best = abs(t_best) % ts if even else t_best % ts
-        fa, fs = _fold(pulse, t_best, k3)
-        val = float(fa[0] - ratio * fs[0])
+                polished.append(folded(t_v, k3))
+        i_best = int(np.argmax([v for v, _, _ in polished]))
+        t_best = tri[i_best]
+        t_wrap = abs(t_best) % ts if even else t_best % ts
+        val, fa, fs = (polished[i_best] if t_wrap == t_best
+                       else folded(t_wrap, k3))
         if best is None or val > best.objective:
-            best = _SearchResult(t_best, float(fa[0]), float(fs[0]), val, k3)
+            best = _SearchResult(t_wrap, fa, fs, val, k3)
     return best
 
 

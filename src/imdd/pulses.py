@@ -63,7 +63,12 @@ class PulseSpec:
 
 @dataclass(frozen=True)
 class PulseMetadata:
-    """Closed-form pulse parameters: mean, peak, bandwidth, energy, flags."""
+    """Closed-form pulse parameters: mean, peak, bandwidth, energy, flags.
+
+    ``nonnegative`` marks pulses with q(t) >= 0 for every t (squares, and
+    ``pl`` at alpha = 1, which is sinc^2); they need no bias for a
+    constellation whose lowest level is 0.
+    """
 
     q_bar: float
     q_zero: float
@@ -71,6 +76,7 @@ class PulseMetadata:
     energy_ratio: float | None
     is_nyquist: bool
     is_root_nyquist: bool
+    nonnegative: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -173,17 +179,19 @@ def evaluate(pulse: PulseSpec, t):
 
 def metadata(pulse: PulseSpec) -> PulseMetadata:
     """Mean q_bar, peak q(0), bandwidth B*Ts, energy ratio Eq/Ts and the
-    Nyquist / root-Nyquist flags, all in closed form."""
+    Nyquist / root-Nyquist / nonnegative flags, all in closed form."""
     a = pulse.alpha
     half = (1.0 + a) / 2.0
     table = {
         "rc":   PulseMetadata(1.0, 1.0, half, None, True, False),
         "btn":  PulseMetadata(1.0, 1.0, half, None, True, False),
-        "pl":   PulseMetadata(1.0, 1.0, half, None, True, False),
+        "pl":   PulseMetadata(1.0, 1.0, half, None, True, False, a == 1.0),
         "poly": PulseMetadata(1.0, 1.0, half, None, True, False),
-        "s2":   PulseMetadata(1.0, 1.0, 1.0, None, True, False),
-        "src":  PulseMetadata(1.0 - a / 4.0, 1.0, 1.0 + a, None, True, False),
-        "sdj":  PulseMetadata(1.0 - a / 2.0, 1.0, 1.0 + a, None, True, False),
+        "s2":   PulseMetadata(1.0, 1.0, 1.0, None, True, False, True),
+        "src":  PulseMetadata(1.0 - a / 4.0, 1.0, 1.0 + a, None, True, False,
+                              True),
+        "sdj":  PulseMetadata(1.0 - a / 2.0, 1.0, 1.0 + a, None, True, False,
+                              True),
         "rrc":  PulseMetadata(1.0, 1.0 - a + 4.0 * a / np.pi, half, 1.0,
                               False, True),
         "xia":  PulseMetadata(1.0, 1.0, half, 1.0, True, True),

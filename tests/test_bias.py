@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from imdd import bias, pulses
-from imdd.errors import DomainError
+from imdd import _series, bias, pulses
+from imdd.errors import DomainError, NumericalDivergenceError
 
 OOK = bias.Constellation.pam(2)
 
@@ -71,10 +71,44 @@ class TestRequiredBias:
 
     @pytest.mark.parametrize("family", ["s2", "src", "sdj"])
     def test_nonnegative_pulses_need_no_bias(self, family):
-        # |q| == q everywhere, the two folded sums share evaluations, and
-        # OOK has ratio 1, so the objective cancels to exactly zero
-        sol = bias.required_bias(pulses.PulseSpec(family, 0.5), OOK)
+        # |q| == q everywhere and OOK has ratio 1, so the objective is
+        # exactly zero at every t: the search is skipped, the result sits at
+        # t = 0 and reports the full-accuracy budget a search would use
+        p = pulses.PulseSpec(family, 0.5)
+        sol = bias.required_bias(p, OOK)
         assert sol.mu == 0.0
+        assert sol.argmax_t == 0.0
+        assert sol.k_trunc == bias.folded_abs_sum(p, 0.0).k_trunc
+        searched = bias.required_bias(p, bias.Constellation((1.0, 2.0)))
+        assert sol.k_trunc == searched.k_trunc
+
+    def test_nonnegative_pulse_off_ratio_one_is_searched(self):
+        # levels {1, 2}: a_check > 0, so mu = -a_check * min_t sum q, which
+        # is not 0 for src (bandwidth above the symbol rate)
+        p = pulses.PulseSpec("src", 0.5)
+        sol = bias.required_bias(p, bias.Constellation((1.0, 2.0)))
+        t = np.linspace(0.0, 1.0, 2001)
+        fs = bias.folded_signed_sum(p, t).value
+        assert sol.mu == pytest.approx(-np.min(fs), abs=1e-7)
+        assert sol.mu == pytest.approx(-0.75, abs=1e-6)
+
+    def test_divergent_tail_raises_before_any_fold(self, monkeypatch):
+        # the budget check comes first, so a failing search costs no fold
+        calls = []
+        folded_pair = _series.folded_pair
+
+        def counting(*args, **kwargs):
+            calls.append(args[3])
+            return folded_pair(*args, **kwargs)
+
+        monkeypatch.setattr(_series, "folded_pair", counting)
+        with pytest.raises(NumericalDivergenceError) as err:
+            bias.required_bias(pulses.PulseSpec("xia", 0.01), OOK)
+        assert str(err.value) == (
+            "series needs K=1009254 > cap 1000000 terms for tolerance 1e-09; "
+            "the pulse tail (decay 2, coef 31.831) is too slow — "
+            "alpha is likely too small for this accuracy")
+        assert calls == []
 
     def test_argmax_within_period(self):
         sol = bias.required_bias(pulses.PulseSpec("rc", 0.6), OOK)

@@ -180,6 +180,20 @@ class TestMetadataTable:
         assert flags["xia"].is_root_nyquist          # both properties at once
         assert not flags["rc"].is_root_nyquist
 
+    @pytest.mark.parametrize("family", pulses.FAMILIES)
+    def test_nonnegative_flag_matches_the_closed_forms(self, family):
+        # the flag lets the bias search skip nonnegative pulses, so it must
+        # be true exactly where q never dips below 0 (btn at alpha = 1 and
+        # pl below alpha = 1 have negative lobes)
+        u = np.linspace(-200.0, 200.0, 400 * 64 + 1) + 1.0 / 128
+        for alpha in (0.01, 0.1, 0.5, 1.0):
+            p = pulses.PulseSpec(family, alpha)
+            q_min = np.min(pulses.evaluate(p, u * p.ts))
+            if pulses.metadata(p).nonnegative:
+                assert q_min >= 0.0, (family, alpha)
+            else:
+                assert q_min < 0.0, (family, alpha)
+
     def test_mean_matches_numeric_integral(self):
         # q_bar must equal (1/ts) * integral of q; Riemann sum over a wide
         # window is an independent check of the tabulated answer.

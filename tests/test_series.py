@@ -131,6 +131,18 @@ class TestFoldedPair:
                                        chunk_elems=1000)
         np.testing.assert_allclose(small, big, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("t", [[0.3], np.linspace(0, 1, 11)])
+    def test_evaluation_pieces_change_no_bit(self, monkeypatch, t):
+        # unlike the summation blocks, the evaluation pieces only split the
+        # elementwise pulse evaluation, so the sums must not move at all
+        pulse = pulses.PulseSpec("xia", 0.5)
+        fn = lambda x: pulses.evaluate(pulse, x)
+        whole = _series.folded_pair(fn, 1.0, t, 2048, 1.0, chunk_elems=9000)
+        monkeypatch.setattr(_series, "EVAL_CHUNK_ELEMS", 37)
+        pieces = _series.folded_pair(fn, 1.0, t, 2048, 1.0, chunk_elems=9000)
+        for a, b in zip(pieces, whole):
+            np.testing.assert_array_equal(a, b)
+
 
 class TestGoldenMax:
     def test_quadratic_vertex(self):
