@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericalDivergenceError
+from .errors import DomainError, NumericalDivergenceError
 
 K_CAP = 1_000_000          # hard cap on the fold half-width
 LATTICE_CAP = 20_000_000   # hard cap on lattice points (memory bound)
@@ -41,7 +41,7 @@ def raw_tail_bound(p: float, coef: float, k: float) -> float:
 def k_for_tol(p: float, coef: float, u0: float, tol: float) -> int:
     """Half-width K whose modeled post-acceleration error is below tol."""
     if tol <= 0:
-        raise ValueError("tol must be positive")
+        raise DomainError("tol must be positive")
     k = (2.0 * coef * ACCEL_GAIN / ((p - 1.0) * tol)) ** (1.0 / p)
     k = max(64, int(math.ceil(u0)) + 8, int(math.ceil(k)))
     if k > K_CAP:
@@ -57,7 +57,7 @@ def lattice_cut(p: float, coef: float, tol: float, rate: int) -> float:
     accelerated-error model; the raw tail of the integral beyond u is
     ~ 2 coef u^(1-p)/(p-1), and acceleration divides it by ~(u*rate)."""
     if tol <= 0:
-        raise ValueError("tol must be positive")
+        raise DomainError("tol must be positive")
     u = (2.0 * coef * ACCEL_GAIN / ((p - 1.0) * tol * rate)) ** (1.0 / p)
     return max(u, 8.0)
 

@@ -11,17 +11,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from . import __version__, bias, gains, link, pulses, waveform
-from .errors import DomainError, NumericalDivergenceError, UnsupportedError
+from .errors import DomainError, ImddError, NumericalDivergenceError
 
 FIGURES = ("fig2", "fig3", "fig4", "fig5", "fig6")
 
@@ -77,18 +78,22 @@ def _parse_pulse_list(text: str) -> tuple[str, ...]:
 
 def _parse_alpha_grid(text: str) -> tuple[float, ...]:
     """'0.6' or 'start:stop:step' (inclusive endpoints)."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise DomainError("alpha grid must be value or start:stop:step")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0:
-            raise DomainError("alpha grid step must be > 0")
-        if stop < start:
-            raise DomainError("alpha grid needs stop >= start")
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return tuple(round(start + i * step, 12) for i in range(n))
-    return (float(text),)
+    parts = text.split(":")
+    if len(parts) not in (1, 3):
+        raise DomainError("alpha grid must be value or start:stop:step")
+    try:
+        values = [float(p) for p in parts]
+    except ValueError as exc:
+        raise DomainError(f"bad alpha grid {text!r}") from exc
+    if len(values) == 1:
+        return (values[0],)
+    start, stop, step = values
+    if step <= 0:
+        raise DomainError("alpha grid step must be > 0")
+    if stop < start:
+        raise DomainError("alpha grid needs stop >= start")
+    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    return tuple(round(start + i * step, 12) for i in range(n))
 
 
 def _parse_m_list(text: str) -> tuple[int, ...]:
@@ -102,6 +107,8 @@ def _parse_m_list(text: str) -> tuple[int, ...]:
 
 
 def _fmt(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, float):
         return format(value, ".12g")
     return str(value)
@@ -117,7 +124,19 @@ def _check_writable(path: str):
         raise DomainError(f"output path {path!r} is not writable: {exc}")
 
 
-def _write_rows(cfg: RunConfig, header, rows, comments=()):
+def _write_csv(path: str, header, rows, comments=()):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"# imdd {__version__}\n")
+        for key, value in comments:
+            fh.write(f"# {key}={_fmt(value)}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+
+
+def _write_rows(cfg: RunConfig, header, rows, t0: float, comments=(),
+                extra: str = ""):
+    """Write the artifact and print the command's summary line."""
     if cfg.fmt == "json":
         payload = {"version": __version__, "command": cfg.command}
         if comments:
@@ -126,131 +145,81 @@ def _write_rows(cfg: RunConfig, header, rows, comments=()):
         with open(cfg.output, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
-        return
-    with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# imdd {__version__}\n")
-        for key, value in comments:
-            fh.write(f"# {key}={_fmt(value)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
-def _sidecar_path(output: str) -> str:
-    stem, _ = os.path.splitext(output)
-    return stem + ".errors.csv"
-
-
-def _write_failures(cfg: RunConfig, header, rows) -> str:
-    path = _sidecar_path(cfg.output)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# imdd {__version__}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-    return path
-
-
-def _finish(cfg: RunConfig, header, rows, failures, failure_header,
-            t0: float, extra: str = "") -> int:
-    """Write artifacts, print the summary line, map failures to the exit
-    code contract."""
-    _write_rows(cfg, header, rows)
-    diverged = any(isinstance(exc, NumericalDivergenceError)
-                   for _, exc in failures)
-    if failures:
-        path = _write_failures(
-            cfg, failure_header,
-            [key + (str(exc),) for key, exc in failures])
-        print(f"warning: {len(failures)} grid point(s) failed -> {path}",
-              file=sys.stderr)
+    else:
+        _write_csv(cfg.output, header, rows, comments)
     elapsed = time.perf_counter() - t0
     print(f"{cfg.command}: wrote {len(rows)} rows -> {cfg.output}"
           f"{extra} [{elapsed:.2f} s]")
+
+
+def _finish(cfg: RunConfig, header, results, t0: float,
+            extra=lambda rows: "") -> int:
+    """Split a grid's (key, row | error) stream into the artifact and the
+    ``<stem>.errors.csv`` sidecar, and map failures to the exit code
+    contract.  A key holds the leading columns of its point's row."""
+    rows, failures = [], []
+    for key, res in results:
+        if isinstance(res, ImddError):
+            failures.append(key + (res,))
+        else:
+            rows.append(res)
+    if failures:
+        path = os.path.splitext(cfg.output)[0] + ".errors.csv"
+        _write_csv(path, header[:len(failures[0]) - 1] + ("error",),
+                   failures)
+        print(f"warning: {len(failures)} grid point(s) failed -> {path}",
+              file=sys.stderr)
+    _write_rows(cfg, header, rows, t0, (), extra(rows) if rows else "")
     if rows:
         return 0
+    diverged = any(isinstance(f[-1], NumericalDivergenceError)
+                   for f in failures)
     return 3 if diverged else 2
 
 
+def _keys(cfg: RunConfig, *more):
+    return itertools.product(sorted(cfg.pulse_set), cfg.alphas,
+                             cfg.m_values, *more)
+
+
 def _run_bias(cfg: RunConfig, t0: float) -> int:
-    rows, failures = [], []
-    for family in sorted(cfg.pulse_set):
-        for alpha in cfg.alphas:
-            for m in cfg.m_values:
-                try:
-                    sol = bias.required_bias(
-                        pulses.PulseSpec(family, alpha, cfg.ts),
-                        bias.Constellation.pam(m),
-                        grid_n=cfg.grid_n, tail_tol=cfg.tail_tol)
-                    a_hat = float(m - 1)
-                    rows.append((family, alpha, m, cfg.ts, sol.mu,
-                                 sol.mu / a_hat, sol.argmax_t, sol.k_trunc))
-                except (DomainError, NumericalDivergenceError) as exc:
-                    failures.append(((family, alpha, m), exc))
-    return _finish(cfg, _BIAS_HEADER, rows, failures,
-                   ("pulse", "alpha", "m", "error"), t0)
+    def point(family, alpha, m):
+        sol = bias.required_bias(pulses.PulseSpec(family, alpha, cfg.ts),
+                                 bias.Constellation.pam(m),
+                                 grid_n=cfg.grid_n, tail_tol=cfg.tail_tol)
+        return (family, alpha, m, cfg.ts, sol.mu, sol.mu / (m - 1),
+                sol.argmax_t, sol.k_trunc)
+
+    return _finish(cfg, _BIAS_HEADER, gains.grid(point, _keys(cfg)), t0)
 
 
 def _run_ser(cfg: RunConfig, t0: float) -> int:
-    rows, failures = [], []
-    for family in sorted(cfg.pulse_set):
-        for alpha in cfg.alphas:
-            for m in cfg.m_values:
-                try:
-                    lc = link.LinkConfig(
-                        pulse=pulses.PulseSpec(family, alpha, cfg.ts),
-                        constellation=bias.Constellation.pam(m),
-                        receiver=cfg.receiver or "sampling",
-                        a=cfg.a, n0=cfg.n0, seed=cfg.seed,
-                        allow_isi=cfg.allow_isi)
-                    est = link.monte_carlo_ser(lc, cfg.n_symbols, cfg.target)
-                    rows.append((family, alpha, m, lc.receiver, cfg.a,
-                                 cfg.n0, est.p_analytic, est.p_hat,
-                                 est.ci95, est.n_symbols))
-                except (DomainError, UnsupportedError,
-                        NumericalDivergenceError) as exc:
-                    failures.append(((family, alpha, m,
-                                      cfg.receiver or "sampling"), exc))
-    return _finish(cfg, _SER_HEADER, rows, failures,
-                   ("pulse", "alpha", "M", "receiver", "error"), t0)
+    def point(family, alpha, m, receiver):
+        lc = link.LinkConfig(
+            pulse=pulses.PulseSpec(family, alpha, cfg.ts),
+            constellation=bias.Constellation.pam(m), receiver=receiver,
+            a=cfg.a, n0=cfg.n0, seed=cfg.seed, allow_isi=cfg.allow_isi)
+        est = link.monte_carlo_ser(lc, cfg.n_symbols, cfg.target)
+        return (family, alpha, m, receiver, cfg.a, cfg.n0, est.p_analytic,
+                est.p_hat, est.ci95, est.n_symbols)
+
+    receivers = (cfg.receiver or "sampling",)
+    return _finish(cfg, _SER_HEADER,
+                   gains.grid(point, _keys(cfg, receivers)), t0)
 
 
 def _run_gain(cfg: RunConfig, t0: float) -> int:
-    rows, failures = [], []
-    for family in sorted(cfg.pulse_set):
-        receivers = ((cfg.receiver,) if cfg.receiver
-                     else gains.valid_receivers(family, cfg.scenario))
-        if not receivers:
-            failures.append(((cfg.scenario, "", family, "", ""),
-                             UnsupportedError(
-                                 f"no receiver supports {family} in "
-                                 f"{cfg.scenario}")))
-            continue
-        for alpha in cfg.alphas:
-            for m in cfg.m_values:
-                for receiver in receivers:
-                    try:
-                        pt = gains.gain_point(
-                            cfg.scenario, receiver,
-                            pulses.PulseSpec(family, alpha, cfg.ts),
-                            bias.Constellation.pam(m), cfg.p_err)
-                        rows.append((pt.scenario, pt.receiver, pt.pulse,
-                                     pt.alpha, pt.m, pt.b_tb, pt.gain_db,
-                                     pt.mu, pt.q_bar, pt.q_zero))
-                    except (DomainError, UnsupportedError,
-                            NumericalDivergenceError) as exc:
-                        failures.append(
-                            ((cfg.scenario, receiver, family, alpha, m), exc))
-    extra = ""
-    if rows:
-        gains_db = [row[6] for row in rows]
-        extra = (f" (gain min {min(gains_db):.3f} dB,"
-                 f" max {max(gains_db):.3f} dB)")
-    return _finish(cfg, _GAIN_HEADER, rows, failures,
-                   ("scenario", "receiver", "pulse", "alpha", "m", "error"),
-                   t0, extra)
+    def extra(rows):
+        db = [row[6] for row in rows]
+        return f" (gain min {min(db):.3f} dB, max {max(db):.3f} dB)"
+
+    results = gains.gain_grid(cfg.scenario, sorted(cfg.pulse_set),
+                              cfg.alphas, cfg.m_values, cfg.p_err,
+                              (cfg.receiver,) if cfg.receiver else None,
+                              cfg.ts)
+    return _finish(cfg, _GAIN_HEADER,
+                   ((key, res if isinstance(res, ImddError) else astuple(res))
+                    for key, res in results), t0, extra)
 
 
 def _run_waveform(cfg: RunConfig, t0: float) -> int:
@@ -269,10 +238,7 @@ def _run_waveform(cfg: RunConfig, t0: float) -> int:
     comments = (("pulse", family), ("alpha", alpha), ("m", m),
                 ("ts", cfg.ts), ("a", cfg.a), ("rate", cfg.rate),
                 ("seed", cfg.seed), ("n", cfg.n_symbols), ("mu", mu))
-    _write_rows(cfg, ("t", "value"), rows, comments)
-    elapsed = time.perf_counter() - t0
-    print(f"waveform: wrote {len(rows)} rows -> {cfg.output}"
-          f" [{elapsed:.2f} s]")
+    _write_rows(cfg, ("t", "value"), rows, t0, comments)
     return 0
 
 
@@ -292,9 +258,7 @@ def _run_eye(cfg: RunConfig, t0: float) -> int:
                 ("ts", cfg.ts), ("a", cfg.a), ("rate", cfg.rate),
                 ("seed", cfg.seed), ("receiver", receiver),
                 ("traces", cfg.n_traces))
-    _write_rows(cfg, ("trace", "t", "value"), rows, comments)
-    elapsed = time.perf_counter() - t0
-    print(f"eye: wrote {len(rows)} rows -> {cfg.output} [{elapsed:.2f} s]")
+    _write_rows(cfg, ("trace", "t", "value"), rows, t0, comments)
     return 0
 
 
@@ -475,12 +439,12 @@ def main(argv=None) -> int:
         if args.command == "reproduce":
             return reproduce(args.figure, args.out_dir, args.format)
         return run(_config_from_args(args))
-    except (DomainError, UnsupportedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NumericalDivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except ImddError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

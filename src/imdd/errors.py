@@ -1,7 +1,11 @@
 """Exception types shared across the package."""
 
 
-class DomainError(ValueError):
+class ImddError(Exception):
+    """Base of every error the package raises on purpose."""
+
+
+class DomainError(ImddError, ValueError):
     """Invalid parameter or configuration (bad pulse spec, constellation, ...)."""
 
 
@@ -9,7 +13,7 @@ class UnsupportedError(DomainError):
     """Operation not defined for this input (e.g. non-PAM analytic SER)."""
 
 
-class NumericalDivergenceError(RuntimeError):
+class NumericalDivergenceError(ImddError, RuntimeError):
     """A truncated series/lattice sum cannot meet its tolerance within the
     hard term cap.  In practice this signals a roll-off too close to zero
     for the requested accuracy."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import bias as _bias
 from . import link, pulses
-from .errors import DomainError, UnsupportedError
+from .errors import DomainError, ImddError, UnsupportedError
 
 SCENARIOS = ("equal-eye", "equal-ser")
 
@@ -138,16 +138,45 @@ def gain_point(scenario: str, receiver: str, pulse: pulses.PulseSpec,
 
 
 def valid_receivers(family: str, scenario: str) -> tuple[str, ...]:
-    """Receivers for which the scenario has an ISI-free closed form."""
+    """Receivers for which the scenario has an ISI-free closed form; the
+    equal-eye scenario is defined for the sampling receiver only."""
     meta = pulses.metadata(pulses.PulseSpec(family, 0.5))
-    if scenario == "equal-eye":
-        return ("sampling",) if meta.is_nyquist else ()
-    out = []
-    if meta.is_nyquist:
-        out.append("sampling")
-    if meta.is_root_nyquist:
-        out.append("matched")
-    return tuple(out)
+    valid = {"sampling": meta.is_nyquist,
+             "matched": meta.is_root_nyquist and scenario != "equal-eye"}
+    return tuple(r for r in link.RECEIVERS if valid[r])
+
+
+def grid(point, keys):
+    """Yield ``(key, point(*key))`` for each key, or ``(key, error)`` when
+    the point raises an ``ImddError``: one bad point never aborts a grid."""
+    for key in keys:
+        try:
+            result = point(*key)
+        except ImddError as exc:
+            result = exc
+        yield key, result
+
+
+def gain_grid(scenario: str, pulse_set, alphas, m_set,
+              p_err: float | None = None, receivers=None, ts: float = 1.0):
+    """``grid`` over families x alpha x M x receivers, keyed
+    ``(scenario, receiver, pulse, alpha, m)``.  Without ``receivers`` each
+    family gets every receiver valid for it; a family with none yields one
+    failure keyed ``(scenario, "", pulse, None, None)``."""
+    def point(scenario, receiver, family, alpha, m):
+        return gain_point(scenario, receiver,
+                          pulses.PulseSpec(family, alpha, ts),
+                          _bias.Constellation.pam(m), p_err)
+
+    for family in pulse_set:
+        fam_receivers = (valid_receivers(family, scenario)
+                         if receivers is None else tuple(receivers))
+        if not fam_receivers:
+            yield (scenario, "", family, None, None), UnsupportedError(
+                f"no receiver supports {family} in {scenario}")
+        yield from grid(point, ((scenario, receiver, family, alpha, m)
+                                for alpha in alphas for m in m_set
+                                for receiver in fam_receivers))
 
 
 def sweep(scenario: str, pulse_set, alpha_grid, m_set,
@@ -163,41 +192,18 @@ def sweep(scenario: str, pulse_set, alpha_grid, m_set,
     alpha_grid = [float(a) for a in alpha_grid]
     if not alpha_grid:
         raise DomainError("empty alpha grid")
-    points: list[GainPoint] = []
-    failures: list[GainFailure] = []
-    have_reference = False
-    for family in pulse_set:
-        if receivers is None:
-            fam_receivers = valid_receivers(family, scenario)
-            if not fam_receivers:
-                failures.append(GainFailure(
-                    scenario, "", family, math.nan, 0,
-                    f"no receiver supports {family} in {scenario}"))
-                continue
-        else:
-            fam_receivers = tuple(receivers)
-        for alpha in alpha_grid:
-            for m in m_set:
-                constellation = _bias.Constellation.pam(m)
-                for receiver in fam_receivers:
-                    try:
-                        pulse = pulses.PulseSpec(family, alpha, ts)
-                        points.append(gain_point(scenario, receiver, pulse,
-                                                 constellation, p_err))
-                    except (DomainError, UnsupportedError) as exc:
-                        failures.append(GainFailure(
-                            scenario, receiver, family, alpha, m, str(exc)))
-                        continue
-                    if family == "s2" and m == 2 and receiver == "sampling":
-                        have_reference = True
-    if not have_reference:
-        try:
-            ref = gain_point(scenario, "sampling",
-                             pulses.PulseSpec("s2", alpha_grid[0], ts),
-                             _bias.Constellation.pam(2), p_err)
-            points.append(ref)
-        except (DomainError, UnsupportedError) as exc:
-            failures.append(GainFailure(
-                scenario, "sampling", "s2", alpha_grid[0], 2, str(exc)))
-    points.sort(key=lambda p: (p.b_tb, p.pulse, p.alpha, p.m, p.receiver))
+    results = list(gain_grid(scenario, pulse_set, alpha_grid, m_set, p_err,
+                             receivers, ts))
+    if not any(isinstance(p, GainPoint)
+               and (p.pulse, p.m, p.receiver) == ("s2", 2, "sampling")
+               for _, p in results):
+        results += gain_grid(scenario, ["s2"], alpha_grid[:1], [2], p_err,
+                             ["sampling"], ts)
+    points = sorted((res for _, res in results if isinstance(res, GainPoint)),
+                    key=lambda p: (p.b_tb, p.pulse, p.alpha, p.m, p.receiver))
+    failures = [GainFailure(scn, receiver, family,
+                            math.nan if alpha is None else alpha, m or 0,
+                            str(exc))
+                for (scn, receiver, family, alpha, m), exc in results
+                if not isinstance(exc, GainPoint)]
     return SweepResult(points=points, failures=failures)

@@ -110,6 +110,10 @@ class TestRequiredBias:
             "alpha is likely too small for this accuracy")
         assert calls == []
 
+    def test_nonpositive_tail_tol_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="tol must be positive"):
+            bias.required_bias(pulses.PulseSpec("rc", 0.5), OOK, tail_tol=0)
+
     def test_argmax_within_period(self):
         sol = bias.required_bias(pulses.PulseSpec("rc", 0.6), OOK)
         assert 0.0 <= sol.argmax_t < 1.0

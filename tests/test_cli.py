@@ -1,5 +1,6 @@
 """Command-line interface: artifact formats, exit codes, reproducibility."""
 
+import csv
 import json
 import pathlib
 import warnings
@@ -17,8 +18,9 @@ def read_lines(path):
 
 def data_rows(path):
     """CSV rows with the version banner, comments and header stripped."""
-    rows = [ln for ln in read_lines(path) if not ln.startswith("#")]
-    return rows[0].split(","), [r.split(",") for r in rows[1:]]
+    rows = list(csv.reader(ln for ln in read_lines(path)
+                           if not ln.startswith("#")))
+    return rows[0], rows[1:]
 
 
 class TestBiasCommand:
@@ -153,6 +155,20 @@ class TestGainCommand:
         assert rows[0][1] == "matched"
         assert float(rows[0][6]) == pytest.approx(-0.2250, abs=5e-3)
 
+    def test_divergent_points_go_to_the_sidecar(self, tmp_path):
+        out = tmp_path / "g.csv"
+        rc = cli.main(["gain", "--scenario", "equal-ser", "--pulse", "xia",
+                       "--alpha", "0.01:0.5:0.49", "-o", str(out)])
+        assert rc == 0
+        _, rows = data_rows(out)
+        assert [(r[1], r[3]) for r in rows] == [("sampling", "0.5"),
+                                               ("matched", "0.5")]
+        _, failures = data_rows(tmp_path / "g.errors.csv")
+        assert [f[:5] for f in failures] == [
+            ["equal-ser", "sampling", "xia", "0.01", "2"],
+            ["equal-ser", "matched", "xia", "0.01", "2"]]
+        assert all(f[5].startswith("series needs K=") for f in failures)
+
     def test_unsupported_combination_exits_2(self, tmp_path):
         out = tmp_path / "g.csv"
         rc = cli.main(["gain", "--scenario", "equal-eye", "--pulse", "rrc",
@@ -268,6 +284,24 @@ class TestArgumentErrors:
                          "-o", str(out)]) == 2
         assert (tmp_path / "x.errors.csv").exists()
 
+    @pytest.mark.parametrize("grid", ["abc", "0.1:x:0.1"])
+    def test_malformed_alpha_grid(self, tmp_path, grid):
+        assert cli.main(["bias", "--pulse", "rc", "--alpha", grid,
+                         "-o", str(tmp_path / "x.csv")]) == 2
+
+    def test_nonpositive_tail_tol(self, tmp_path):
+        # the per-point check rejects it and records it in the sidecar
+        out = tmp_path / "x.csv"
+        assert cli.main(["bias", "--pulse", "rc", "--alpha", "0.5",
+                         "--tail-tol", "0", "-o", str(out)]) == 2
+        _, failures = data_rows(tmp_path / "x.errors.csv")
+        assert [f[-1] for f in failures] == ["tol must be positive"]
+
+    def test_error_types_share_one_base(self):
+        for exc in (imdd.DomainError, imdd.UnsupportedError,
+                    imdd.NumericalDivergenceError):
+            assert issubclass(exc, imdd.errors.ImddError)
+
     def test_unknown_figure_is_a_usage_error(self):
         with pytest.raises(SystemExit):
             cli.main(["reproduce", "fig9"])
@@ -286,6 +320,7 @@ class TestArgumentErrors:
             warnings.simplefilter("ignore")
             project = config.read_configuration(pyproject)["project"]
         assert project["version"] == imdd.__version__
+        assert project["name"] == "imdd"
 
 
 class TestReproduce:

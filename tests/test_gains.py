@@ -190,6 +190,18 @@ class TestSweep:
                 for p in res.points]
         assert keys == sorted(keys)
 
+    def test_divergent_point_is_recorded_not_raised(self):
+        # xia at alpha=0.01 needs more fold terms than the cap; the points
+        # before and after it survive
+        res = gains.sweep("equal-ser", ["xia"], [0.01, 0.5], [2], 1e-6)
+        assert sorted((p.pulse, p.alpha, p.receiver) for p in res.points) == [
+            ("s2", 0.01, "sampling"), ("xia", 0.5, "matched"),
+            ("xia", 0.5, "sampling")]
+        assert sorted((f.alpha, f.receiver) for f in res.failures) == [
+            (0.01, "matched"), (0.01, "sampling")]
+        assert all(f.error.startswith("series needs K=")
+                   for f in res.failures)
+
     def test_dual_receiver_family_gets_both_rows(self):
         res = gains.sweep("equal-ser", ["xia"], [0.5], [2], 1e-6)
         xia_rows = [(p.receiver, p.gain_db) for p in res.points

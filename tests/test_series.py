@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from imdd import _series, pulses
-from imdd.errors import NumericalDivergenceError
+from imdd.errors import DomainError, NumericalDivergenceError
 
 
 def brute_fold(pulse, t, half_width):
@@ -60,8 +60,10 @@ class TestBudget:
         assert model(k) <= tol < model(k - 1)
 
     def test_rejects_nonpositive_tol(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             _series.k_for_tol(2.0, 1.0, 1.0, 0.0)
+        with pytest.raises(DomainError):
+            _series.lattice_cut(2.0, 1.0, -1e-9, 32)
 
 
 class TestExtrapolate:
