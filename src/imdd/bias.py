@@ -6,12 +6,16 @@ smallest bias keeping x nonnegative for every admissible symbol sequence is
     mu = max_{0 <= t < ts} [ (a_hat - L) * sum_k |q(t - k ts)|
                              - L * sum_k q(t - k ts) ]
 
-with L the midpoint of the constellation.  For a pulse that never goes
-negative the two sums are equal, so when the lowest level is 0 (a_hat = 2L,
-every unipolar PAM) mu is exactly 0 at every t: such searches return mu = 0
-at argmax_t = 0 without searching.  For bandwidths B*ts <= 1 the signed
-fold is constant in t (equal to q_bar), which the test suite certifies; the
-optimizer does not assume it.
+with L the midpoint of the constellation.  With sum |q| = F + 2 N, where
+N(t) = sum_k max(-q(t - k ts), 0) is the negative-part fold and F the signed
+fold, mu = (a_hat - L) * max_t [2 N(t) + (1 - L/(a_hat - L)) F(t)].
+
+F has a closed form by Poisson summation: every family has B*ts <= 2 and a
+spectrum that vanishes at the band edge, so F(t) = q_bar + 2 c1 cos(2 pi t
+/ ts) with c1 = 0 for B*ts <= 1.  The two wider pulses (``src``, ``sdj``)
+are Nyquist, so F(0) = q(0) gives c1 = (q(0) - q_bar)/2.  Only N is summed
+numerically; it does not depend on the levels, so one cached search of N
+serves every constellation and the peak of sum |q|.
 """
 
 from __future__ import annotations
@@ -115,56 +119,68 @@ def _k_for(pulse: pulses.PulseSpec, tol: float) -> int:
 
 
 def _fold(pulse: pulses.PulseSpec, t, k: int):
+    """Negative-part fold N at the offsets t, half-width k."""
     p, _, _ = pulses.tail_envelope(pulse)
     return _series.folded_pair(lambda tt: pulses.evaluate(pulse, tt),
                                pulse.ts, t, k, p - 1.0)
 
 
+def _c1(pulse: pulses.PulseSpec) -> float:
+    """First harmonic of the signed fold: (q(0) - q_bar)/2 for the Nyquist
+    pulses wider than the symbol rate, 0 otherwise."""
+    meta = pulses.metadata(pulse)
+    return 0.5 * (meta.q_zero - meta.q_bar) if meta.b_ts > 1.0 else 0.0
+
+
+def _signed(pulse: pulses.PulseSpec, t):
+    """Closed-form signed fold q_bar + 2 c1 cos(2 pi t / ts)."""
+    phase = 2.0 * np.pi * np.asarray(t, dtype=float) / pulse.ts
+    return pulses.metadata(pulse).q_bar + 2.0 * _c1(pulse) * np.cos(phase)
+
+
 def folded_abs_sum(pulse: pulses.PulseSpec, t, tail_tol: float = DEFAULT_TAIL_TOL):
-    """Tail-corrected sum_k |q(t - k ts)|; error <~ tail_tol.
+    """Tail-corrected sum_k |q(t - k ts)| = F + 2 N; error <~ tail_tol.
 
     Accepts scalar or array t.  Returns a FoldValue carrying the truncation
     half-width actually used.
     """
     k = _k_for(pulse, tail_tol)
-    a, _ = _fold(pulse, t, k)
-    value = float(a[0]) if np.ndim(t) == 0 else a
-    return FoldValue(value, k)
+    value = _signed(pulse, t) + 2.0 * _fold(pulse, t, k)
+    return FoldValue(float(value[0]) if np.ndim(t) == 0 else value, k)
 
 
-def folded_signed_sum(pulse: pulses.PulseSpec, t, tail_tol: float = DEFAULT_TAIL_TOL):
-    """Tail-corrected sum_k q(t - k ts); error <~ tail_tol.  Constant in t
-    (= q_bar) whenever B*ts <= 1."""
-    k = _k_for(pulse, tail_tol)
-    _, s = _fold(pulse, t, k)
-    value = float(s[0]) if np.ndim(t) == 0 else s
-    return FoldValue(value, k)
+def folded_signed_sum(pulse: pulses.PulseSpec, t):
+    """sum_k q(t - k ts) in closed form, so k_trunc = 0:
+    q_bar + 2 c1 cos(2 pi t / ts), constant whenever B*ts <= 1."""
+    value = _signed(pulse, t)
+    return FoldValue(float(value) if np.ndim(t) == 0 else value, 0)
 
 
 @dataclass(frozen=True)
 class _SearchResult:
+    """A supremum over one period: where it sits, its value and the fold
+    half-width behind it."""
+
     t_star: float
-    f_abs: float
-    f_sig: float
-    objective: float
+    value: float
     k_trunc: int
 
 
 @lru_cache(maxsize=4096)
-def _search(family: str, alpha: float, ts: float, ratio: float,
-            tail_tol: float, grid_n: int, refine_tol: float) -> _SearchResult:
-    """Maximize f_abs(t) - ratio*f_sig(t) over [0, ts).
+def _search(family: str, alpha: float, ts: float, tail_tol: float,
+            grid_n: int, refine_tol: float) -> _SearchResult:
+    """Maximize the negative-part fold N(t) over [0, ts).
 
     Coarse uniform grid (half period for even pulses), golden refinement of
-    the leading basins, then one high-accuracy polish at the winner.  The
-    cache key includes ratio = L/(a_hat - L), so every uniform-PAM order
-    shares one search.
+    the leading basins, then one high-accuracy polish at the winner.  N does
+    not depend on the constellation, so every level set and
+    ``peak_abs_sum`` share one search.  The stage windows below are those
+    tuned on the OOK objective sum |q| - sum q = 2 N, halved.
 
     The three stage budgets are computed before any fold, so a tail too
-    slow for tail_tol raises NumericalDivergenceError at no cost.  For a
-    nonnegative pulse at ratio 1 (lowest level 0) the objective is exactly
-    0 at every t, so there is no search: the result sits at t = 0 with the
-    full-accuracy budget k3.
+    slow for tail_tol raises NumericalDivergenceError at no cost.  A
+    nonnegative pulse has N = 0 at every t, so there is no search: the
+    result sits at t = 0 with the full-accuracy budget k3.
     """
     pulse = pulses.PulseSpec(family, alpha, ts)
     even = family != "xia"
@@ -175,9 +191,8 @@ def _search(family: str, alpha: float, ts: float, ratio: float,
     k2 = _k_for(pulse, tol2)
     k3 = max(_k_for(pulse, tail_tol), k2)
 
-    if ratio == 1.0 and pulses.metadata(pulse).nonnegative:
-        fa, fs = _fold(pulse, 0.0, k3)
-        return _SearchResult(0.0, float(fa[0]), float(fs[0]), 0.0, k3)
+    if pulses.metadata(pulse).nonnegative:
+        return _SearchResult(0.0, 0.0, k3)
 
     if even:
         n_pts = grid_n // 2 + 1
@@ -185,8 +200,7 @@ def _search(family: str, alpha: float, ts: float, ratio: float,
     else:
         n_pts = grid_n
         grid = np.arange(n_pts) * (ts / n_pts)
-    f_abs, f_sig = _fold(pulse, grid, k1)
-    obj = f_abs - ratio * f_sig
+    obj = _fold(pulse, grid, k1)
 
     # candidate basins: local maxima (plus boundaries); keep only the ones
     # the stage-1 error could still be hiding the global max in
@@ -196,14 +210,10 @@ def _search(family: str, alpha: float, ts: float, ratio: float,
     inner[-1] = obj[-1] >= obj[-2]
     cand = np.flatnonzero(inner)
     cand = cand[np.argsort(obj[cand])[::-1]]
-    cand = cand[obj[cand] >= obj[cand[0]] - 20.0 * tol1][:6]
-
-    def folded(t: float, k: int) -> tuple[float, float, float]:
-        fa, fs = _fold(pulse, t, k)
-        return float(fa[0] - ratio * fs[0]), float(fa[0]), float(fs[0])
+    cand = cand[obj[cand] >= obj[cand[0]] - 10.0 * tol1][:6]
 
     def surrogate(t: float, k: int) -> float:
-        return folded(t, k)[0]
+        return float(_fold(pulse, t, k)[0])
 
     step = grid[1] - grid[0]
     refined = []
@@ -219,7 +229,7 @@ def _search(family: str, alpha: float, ts: float, ratio: float,
         h = 0.25 * step
         kappa = -(surrogate(t1 - h, k1) - 2.0 * surrogate(t1, k1)
                   + surrogate(t1 + h, k1)) / (h * h)
-        width = 4.0 * math.pi * tol1 / kappa if kappa > 0.0 else 0.125 * ts
+        width = 2.0 * math.pi * tol1 / kappa if kappa > 0.0 else 0.125 * ts
         width = min(max(width, 2.0 * step), 0.125 * ts)
         refined.append(_series.golden_max(lambda t: surrogate(t, k2),
                                           t1 - width, t1 + width, refine_tol))
@@ -231,25 +241,25 @@ def _search(family: str, alpha: float, ts: float, ratio: float,
     # winner is refolded only if wrapping into [0, ts) moved it.
     best = None
     for t_c, v_c in refined:
-        if v_c < best_stage2 - 10.0 * tol2:
+        if v_c < best_stage2 - 5.0 * tol2:
             continue
         h = 1e-4 * ts
         tri = [t_c - h, t_c, t_c + h]
-        polished = [folded(t, k3) for t in tri]
-        v0, v1, v2 = (v for v, _, _ in polished)
+        polished = [surrogate(t, k3) for t in tri]
+        v0, v1, v2 = polished
         d2 = v0 - 2.0 * v1 + v2
         if d2 < 0.0:
             t_v = t_c + 0.5 * h * (v0 - v2) / d2
             if abs(t_v - t_c) < 8.0 * h:
                 tri.append(t_v)
-                polished.append(folded(t_v, k3))
-        i_best = int(np.argmax([v for v, _, _ in polished]))
+                polished.append(surrogate(t_v, k3))
+        i_best = int(np.argmax(polished))
         t_best = tri[i_best]
         t_wrap = abs(t_best) % ts if even else t_best % ts
-        val, fa, fs = (polished[i_best] if t_wrap == t_best
-                       else folded(t_wrap, k3))
-        if best is None or val > best.objective:
-            best = _SearchResult(t_wrap, fa, fs, val, k3)
+        val = (polished[i_best] if t_wrap == t_best
+               else surrogate(t_wrap, k3))
+        if best is None or val > best.value:
+            best = _SearchResult(t_wrap, val, k3)
     return best
 
 
@@ -257,29 +267,31 @@ def required_bias(pulse: pulses.PulseSpec, constellation: Constellation, *,
                   grid_n: int = DEFAULT_GRID_N,
                   tail_tol: float = DEFAULT_TAIL_TOL,
                   refine_tol: float | None = None) -> BiasSolution:
-    """Minimum bias mu keeping x(t) >= 0 for all symbol sequences."""
+    """Minimum bias mu keeping x(t) >= 0 for all symbol sequences.
+
+    mu = scale * max_t [2 N(t) + w F(t)] with w = 1 - ratio.  F is the
+    constant q_bar unless c1 != 0, and then N = 0 and w F peaks at t = 0
+    or ts/2 by the sign of w.
+    """
     if grid_n < DEFAULT_GRID_N:
         raise DomainError(f"grid_n must be >= {DEFAULT_GRID_N}")
     if refine_tol is None:
         refine_tol = REFINE_TOL_FACTOR * pulse.ts
     scale = constellation.a_hat - constellation.midpoint
-    ratio = constellation.midpoint / scale
-    res = _search(pulse.family, pulse.alpha, pulse.ts, ratio,
-                  tail_tol, grid_n, refine_tol)
-    return BiasSolution(mu=scale * res.objective, argmax_t=res.t_star,
-                        k_trunc=res.k_trunc, grid_n=grid_n,
-                        refine_tol=refine_tol)
+    w = 1.0 - constellation.midpoint / scale
+    res = _search(pulse.family, pulse.alpha, pulse.ts, tail_tol, grid_n,
+                  refine_tol)
+    t = 0.5 * pulse.ts if w < 0.0 and _c1(pulse) else res.t_star
+    mu = scale * (2.0 * res.value + w * float(_signed(pulse, t)))
+    return BiasSolution(mu=mu, argmax_t=t, k_trunc=res.k_trunc,
+                        grid_n=grid_n, refine_tol=refine_tol)
 
 
-def peak_abs_sum(pulse: pulses.PulseSpec, *,
-                 grid_n: int = DEFAULT_GRID_N,
-                 tail_tol: float = DEFAULT_TAIL_TOL,
-                 refine_tol: float | None = None) -> _SearchResult:
-    """max_t sum |q(t - k ts)| and its location (ratio-0 search)."""
-    if refine_tol is None:
-        refine_tol = REFINE_TOL_FACTOR * pulse.ts
-    return _search(pulse.family, pulse.alpha, pulse.ts, 0.0,
-                   tail_tol, grid_n, refine_tol)
+def peak_abs_sum(pulse: pulses.PulseSpec, **opts) -> _SearchResult:
+    """max_t sum |q(t - k ts)| and its location: the bias the bipolar
+    levels {-1, 1} need (w = 1, scale 1).  Options as ``required_bias``."""
+    sol = required_bias(pulse, Constellation((-1.0, 1.0)), **opts)
+    return _SearchResult(sol.argmax_t, sol.mu, sol.k_trunc)
 
 
 def bias_curve(family: str, alpha_grid, constellation: Constellation,

@@ -427,8 +427,15 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
                  "allow_isi"):
         if hasattr(args, name):
             setattr(cfg, name, getattr(args, name))
+    # run-wide settings are checked once here, not at every grid point
     if cfg.ts <= 0:
         raise DomainError("ts must be positive")
+    if not cfg.tail_tol > 0:
+        raise DomainError("--tail-tol must be positive")
+    if cfg.grid_n < bias.DEFAULT_GRID_N:
+        raise DomainError(f"--grid-n must be >= {bias.DEFAULT_GRID_N}")
+    if not 0.0 < cfg.p_err < 1.0:
+        raise DomainError("--perr must lie in (0, 1)")
     return cfg
 
 

@@ -105,10 +105,7 @@ def amp_ratio_equal_ser(receiver: str, pulse: pulses.PulseSpec,
         raise UnsupportedError(
             f"{pulse.family} is not root-Nyquist; matched filtering has no "
             "ISI-free SER")
-    energy_ratio = meta.energy_ratio
-    if energy_ratio is None:
-        energy_ratio = pulses.energy(pulse, tol=1e-9) / pulse.ts
-    return c.delta_a * q_factor * math.sqrt(2.0 * energy_ratio * bits)
+    return c.delta_a * q_factor * math.sqrt(2.0 * meta.energy_ratio * bits)
 
 
 def gain_equal_ser(receiver: str, pulse: pulses.PulseSpec,
@@ -126,6 +123,10 @@ def gain_point(scenario: str, receiver: str, pulse: pulses.PulseSpec,
     """One fully populated curve point for either scenario."""
     meta = pulses.metadata(pulse)
     if scenario == "equal-eye":
+        if receiver != "sampling":
+            raise UnsupportedError(
+                "the equal-eye scenario is defined for the sampling "
+                f"receiver only, not {receiver!r}")
         gain = gain_equal_eye(pulse, constellation)
     else:
         gain = gain_equal_ser(receiver, pulse, constellation, p_err)

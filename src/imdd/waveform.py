@@ -64,13 +64,10 @@ class EyeTraces:
 
 @dataclass(frozen=True)
 class OpticalPowers:
-    """Average and peak optical power; ``method`` records whether the peak
-    is the closed form (bandwidth <= symbol rate) or a sequence-search
-    lower bound."""
+    """Average and peak optical power."""
 
     p_opt: float
     p_max: float
-    method: str
 
 
 def adversarial_symbols(pulse: pulses.PulseSpec,
@@ -154,42 +151,18 @@ def synthesize(pulse: pulses.PulseSpec, constellation: _bias.Constellation,
 
 def optical_powers(pulse: pulses.PulseSpec,
                    constellation: _bias.Constellation, *,
-                   mu: float, a: float = 1.0,
-                   n_sequences: int = 100, seed: int = 0) -> OpticalPowers:
-    """Average power a*(mu + E{a} q_bar) and peak transmit power.
+                   mu: float, a: float = 1.0) -> OpticalPowers:
+    """Average power a*(mu + E{a} q_bar) and peak transmit power, both exact.
 
-    For bandwidth B*ts <= 1 the peak has a closed form built from the
-    folded-sum supremum; beyond that it is lower-bounded by maximizing over
-    random symbol blocks plus the sign-matched adversarial block.
+    The largest value of sum a_k q(t - k ts) over all symbol sequences is
+    minus the smallest for the mirrored levels -a_k, which is the bias
+    those levels need.  It comes from the same cached search as ``mu``.
     """
-    meta = pulses.metadata(pulse)
-    p_opt = a * (mu + constellation.mean * meta.q_bar)
-    mid = constellation.midpoint
-    spread = constellation.a_hat - mid
-    if meta.b_ts <= 1.0 + 1e-12:
-        peak = _bias.peak_abs_sum(pulse)
-        p_max = a * (mu + spread * peak.f_abs + mid * meta.q_bar)
-        return OpticalPowers(p_opt, p_max, "closed-form")
-
-    peak = _bias.peak_abs_sum(pulse)
-    levels = np.asarray(constellation.levels)
-    n_sym = 64
-    best = -math.inf
-    for s in range(n_sequences):
-        rng = np.random.default_rng((seed, s))
-        block = rng.choice(levels, size=n_sym)
-        wf = synthesize(pulse, constellation, block, mu=mu, a=a,
-                        guard_mode="random", seed=s + 1)
-        best = max(best, float(wf.samples.max()))
-    # aim the adversarial pattern at the supremum phase near the block center
-    phase_c = peak.t_star + (n_sym // 2) * pulse.ts
-    adv = adversarial_symbols(pulse, constellation, phase_c,
-                              np.arange(n_sym), seek="max")
-    wf = synthesize(pulse, constellation, adv, mu=mu, a=a,
-                    guard_mode="adversarial", adversarial_phase=phase_c,
-                    adversarial_seek="max")
-    best = max(best, float(wf.samples.max()))
-    return OpticalPowers(p_opt, best, "grid-lower-bound")
+    p_opt = a * (mu + constellation.mean * pulses.metadata(pulse).q_bar)
+    mirrored = _bias.Constellation(
+        tuple(-v for v in reversed(constellation.levels)))
+    peak = _bias.required_bias(pulse, mirrored).mu
+    return OpticalPowers(p_opt, a * (mu + peak))
 
 
 def eye_diagram(pulse: pulses.PulseSpec, constellation: _bias.Constellation,

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from imdd import bias, gains, link, pulses, waveform
+from imdd import _series, bias, gains, link, pulses, waveform
 from imdd.errors import DomainError, NumericalDivergenceError, UnsupportedError
 
 OOK = bias.Constellation.pam(2)
@@ -41,18 +41,61 @@ def test_criterion_02_nonnegative_pulses_need_no_bias():
                 assert 0.0 <= sol.mu <= 1e-12, (family, m, alpha, sol.mu)
 
 
+def _numerical_signed_fold(pulse, n_t, tol):
+    """sum_j q(t_i - j ts) at t_i = i ts / n_t, i < n_t, from plain partial
+    sums at the library's budget for ``tol`` plus one Richardson step,
+    without imdd.bias.
+
+    For an even pulse the terms j >= 1 at t_i are q(t_{n_t - i} + r ts),
+    r >= 0, so one-sided sums on t_0..t_{n_t} serve both halves of the
+    lattice and halve the evaluations; xia is summed two-sided.
+    """
+    p, coef, u0 = pulses.tail_envelope(pulse)
+    k = _series.k_for_tol(p, coef, u0, tol)
+    k += k % 2
+    h = k // 2
+    u = np.arange(n_t + 1) * (pulse.ts / n_t)
+
+    def shifts(j_lo, j_hi):
+        """sum_{j_lo <= j <= j_hi} q(u - j ts)"""
+        acc = np.zeros_like(u)
+        for lo in range(j_lo, j_hi + 1, 64):
+            j = np.arange(lo, min(lo + 64, j_hi + 1), dtype=float)
+            acc += pulses.evaluate(pulse, u[None, :] - j[:, None] * pulse.ts
+                                   ).sum(axis=0)
+        return acc
+
+    if pulse.family == "xia":
+        core = shifts(-h, h)
+        wing = shifts(-k, -h - 1) + shifts(h + 1, k)
+    else:
+        # one-sided pieces r = 0..h-1, h, h+1..k-1, k; the mirror half at
+        # t_i reads them at t_{n_t - i}
+        a, b, c, d = (shifts(-h + 1, 0), shifts(-h, -h),
+                      shifts(-k + 1, -h - 1), shifts(-k, -k))
+        core = a + b + a[::-1]
+        wing = c + d + (b + c)[::-1]
+    return _series.extrapolate(core, wing, p - 1.0)[:-1]
+
+
 def test_criterion_03_folded_sum_constancy():
     """For every pulse confined to the symbol rate, the symbol-spaced pulse
-    train sums to the constant q_bar at every offset."""
-    inband = ("rc", "btn", "pl", "poly", "s2", "rrc", "xia")
+    train sums to the constant q_bar at every offset; for the two wideband
+    pulses it is q_bar + 2 c1 cos(2 pi t / ts), with c1 = alpha/8 (src)
+    and alpha/4 (sdj).  The closed form is checked against a numerical
+    fold."""
     t_grid = np.linspace(0.0, 1.0, 1000, endpoint=False)
     t0 = time.perf_counter()
-    for family in inband:
+    for family in pulses.FAMILIES:
         for alpha in (0.1, 0.5, 1.0):
             p = pulses.PulseSpec(family, alpha)
-            q_bar = pulses.metadata(p).q_bar
-            fs = bias.folded_signed_sum(p, t_grid, tail_tol=1e-6).value
-            dev = float(np.max(np.abs(fs - q_bar)))
+            c1 = {"src": alpha / 8.0, "sdj": alpha / 4.0}.get(family, 0.0)
+            line = (pulses.metadata(p).q_bar
+                    + 2.0 * c1 * np.cos(2.0 * np.pi * t_grid))
+            fs = bias.folded_signed_sum(p, t_grid).value
+            np.testing.assert_allclose(fs, line, rtol=0, atol=1e-15)
+            num = _numerical_signed_fold(p, t_grid.size, 1e-6)
+            dev = float(np.max(np.abs(fs - num)))
             assert dev < 1e-6, (family, alpha, dev)
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0, f"constancy sweep took {elapsed:.2f} s"
@@ -225,6 +268,14 @@ def test_criterion_08a_equal_eye_gap():
             f"equal-eye gap at B*Tb = {b}: {program:.6f} dB, "
             f"oracle {oracle[b]:.6f} dB")
     assert max(oracle, key=oracle.get) == b_star, (gap, b_star, oracle)
+
+
+def test_criterion_08a_bias_near_resonance():
+    """Near alpha = 1 a coarse fold of sum |q| alone has a tail error as
+    large as the objective; the search must still not land below the
+    oracle there."""
+    sol = bias.required_bias(pulses.PulseSpec("pl", 0.985), OOK)
+    assert sol.mu >= _pl_bias_oracle(0.985) - 1e-8
 
 
 def test_criterion_08b_rrc_over_best_nyquist():

@@ -71,9 +71,10 @@ class TestRequiredBias:
 
     @pytest.mark.parametrize("family", ["s2", "src", "sdj"])
     def test_nonnegative_pulses_need_no_bias(self, family):
-        # |q| == q everywhere and OOK has ratio 1, so the objective is
-        # exactly zero at every t: the search is skipped, the result sits at
-        # t = 0 and reports the full-accuracy budget a search would use
+        # the negative-part fold is 0 and OOK puts no weight on the signed
+        # fold, so the objective is exactly zero at every t: there is no
+        # search, the result sits at t = 0 and reports the full-accuracy
+        # budget a search would use
         p = pulses.PulseSpec(family, 0.5)
         sol = bias.required_bias(p, OOK)
         assert sol.mu == 0.0
@@ -84,13 +85,26 @@ class TestRequiredBias:
 
     def test_nonnegative_pulse_off_ratio_one_is_searched(self):
         # levels {1, 2}: a_check > 0, so mu = -a_check * min_t sum q, which
-        # is not 0 for src (bandwidth above the symbol rate)
+        # is not 0 for src (bandwidth above the symbol rate); the closed-form
+        # sum q is lowest half a symbol away from the peaks
         p = pulses.PulseSpec("src", 0.5)
         sol = bias.required_bias(p, bias.Constellation((1.0, 2.0)))
         t = np.linspace(0.0, 1.0, 2001)
         fs = bias.folded_signed_sum(p, t).value
         assert sol.mu == pytest.approx(-np.min(fs), abs=1e-7)
         assert sol.mu == pytest.approx(-0.75, abs=1e-6)
+        assert sol.argmax_t == 0.5
+
+    def test_levels_share_one_search(self):
+        # the negative-part fold does not depend on the levels, so three
+        # level sets with different ratios and the peak of sum |q| cost a
+        # single search
+        bias.clear_caches()
+        p = pulses.PulseSpec("rc", 0.45)
+        for levels in ((0.0, 1.0), (-1.0, 1.0), (1.0, 2.0)):
+            bias.required_bias(p, bias.Constellation(levels))
+        bias.peak_abs_sum(p)
+        assert bias._search.cache_info().misses == 1
 
     def test_divergent_tail_raises_before_any_fold(self, monkeypatch):
         # the budget check comes first, so a failing search costs no fold
@@ -136,7 +150,7 @@ class TestRequiredBias:
         sol = bias.required_bias(p, OOK)
         t = np.linspace(0.0, 1.0, 20001, endpoint=False)
         fa = bias.folded_abs_sum(p, t, tail_tol=1e-8).value
-        fs = bias.folded_signed_sum(p, t, tail_tol=1e-8).value
+        fs = bias.folded_signed_sum(p, t).value
         grid_best = 0.5 * np.max(fa - fs)
         assert sol.mu >= grid_best - 1e-7
         assert sol.mu <= grid_best + 1e-4   # grid spacing limits the gap
@@ -156,7 +170,7 @@ class TestRequiredBias:
         c = bias.Constellation((-1.0, 1.0))
         sol = bias.required_bias(p, c)
         peak = bias.peak_abs_sum(p)
-        assert sol.mu == pytest.approx(peak.f_abs, rel=1e-12)
+        assert sol.mu == pytest.approx(peak.value, rel=1e-12)
 
     @pytest.mark.parametrize("family", ["rc", "xia"])
     def test_level_shift_identity(self, family):
@@ -172,13 +186,22 @@ class TestRequiredBias:
 
 
 class TestFoldedSums:
+    def test_wide_pulses_are_nonnegative_nyquist(self):
+        # the closed-form signed fold gets its first harmonic from q(0) and
+        # the search skips N = 0; both rest on this metadata invariant
+        for family in pulses.FAMILIES:
+            for alpha in (0.01, 0.5, 1.0):
+                meta = pulses.metadata(pulses.PulseSpec(family, alpha))
+                if meta.b_ts > 1.0:
+                    assert meta.nonnegative and meta.is_nyquist, family
+
     def test_signed_sum_is_flat_for_narrowband_pulses(self):
         # bandwidth <= symbol rate leaves a single spectral line at DC, so
         # the symbol-spaced pulse train sums to q_bar at every offset
         for family in ("rc", "btn", "pl", "poly", "s2", "rrc", "xia"):
             p = pulses.PulseSpec(family, 0.35)
             t = np.linspace(0.0, 1.0, 41)
-            fs = bias.folded_signed_sum(p, t, tail_tol=1e-8).value
+            fs = bias.folded_signed_sum(p, t).value
             np.testing.assert_allclose(
                 fs, pulses.metadata(p).q_bar, rtol=0, atol=1e-7)
 
@@ -204,15 +227,25 @@ class TestFoldedSums:
 
 class TestPeakAbsSum:
     def test_consistency_of_reported_parts(self):
-        res = bias.peak_abs_sum(pulses.PulseSpec("rc", 0.5))
-        assert res.objective == res.f_abs          # ratio-0 search
-        assert res.f_abs >= abs(res.f_sig) - 1e-12
+        p = pulses.PulseSpec("rc", 0.5)
+        res = bias.peak_abs_sum(p)
         assert 0.0 <= res.t_star < 1.0
+        fa = bias.folded_abs_sum(p, res.t_star)
+        assert res.value == pytest.approx(fa.value, abs=1e-12)
+        assert res.k_trunc == fa.k_trunc
 
     def test_peak_at_least_center_value(self):
         # the lattice sum at t=0 already contains |q(0)| = 1
         res = bias.peak_abs_sum(pulses.PulseSpec("pl", 0.3))
-        assert res.f_abs >= 1.0
+        assert res.value >= 1.0
+
+    @pytest.mark.parametrize("family", ["src", "sdj"])
+    def test_wideband_peak_is_q_zero(self, family):
+        # nonnegative Nyquist pulse: the train peaks at the symbol instants,
+        # where every other pulse is zero
+        res = bias.peak_abs_sum(pulses.PulseSpec(family, 0.6))
+        assert res.t_star == 0.0
+        assert res.value == pytest.approx(1.0, abs=1e-15)
 
 
 class TestBiasCurve:
@@ -269,5 +302,5 @@ def test_mu_bounded_by_peak_sum(alpha):
     """0 <= mu <= scale * peak_abs_sum for any OOK search point."""
     p = pulses.PulseSpec("rc", alpha)
     mu = bias.required_bias(p, OOK, tail_tol=1e-7).mu
-    peak = bias.peak_abs_sum(p, tail_tol=1e-7).f_abs
+    peak = bias.peak_abs_sum(p, tail_tol=1e-7).value
     assert -1e-9 <= mu <= 0.5 * peak + 1e-9

@@ -169,6 +169,19 @@ class TestGainCommand:
             ["equal-ser", "matched", "xia", "0.01", "2"]]
         assert all(f[5].startswith("series needs K=") for f in failures)
 
+    def test_equal_eye_matched_goes_to_the_sidecar(self, tmp_path):
+        out = tmp_path / "g.csv"
+        rc = cli.main(["gain", "--scenario", "equal-eye", "--pulse", "rc",
+                       "--alpha", "0.5", "--receiver", "matched",
+                       "-o", str(out)])
+        assert rc == 2
+        _, rows = data_rows(out)
+        assert rows == []
+        _, failures = data_rows(tmp_path / "g.errors.csv")
+        assert [f[:5] for f in failures] == [
+            ["equal-eye", "matched", "rc", "0.5", "2"]]
+        assert "sampling receiver only" in failures[0][5]
+
     def test_unsupported_combination_exits_2(self, tmp_path):
         out = tmp_path / "g.csv"
         rc = cli.main(["gain", "--scenario", "equal-eye", "--pulse", "rrc",
@@ -289,13 +302,29 @@ class TestArgumentErrors:
         assert cli.main(["bias", "--pulse", "rc", "--alpha", grid,
                          "-o", str(tmp_path / "x.csv")]) == 2
 
-    def test_nonpositive_tail_tol(self, tmp_path):
-        # the per-point check rejects it and records it in the sidecar
+    def test_nonpositive_tail_tol(self, tmp_path, capsys):
+        # a run-wide setting is rejected once, before any grid point
         out = tmp_path / "x.csv"
-        assert cli.main(["bias", "--pulse", "rc", "--alpha", "0.5",
-                         "--tail-tol", "0", "-o", str(out)]) == 2
-        _, failures = data_rows(tmp_path / "x.errors.csv")
-        assert [f[-1] for f in failures] == ["tol must be positive"]
+        assert cli.main(["bias", "--pulse", "rc,pl", "--alpha",
+                         "0.1:0.3:0.1", "--tail-tol", "0",
+                         "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --tail-tol must be positive\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command,option,value,message", [
+        ("bias", "--grid-n", "1024", "--grid-n must be >= 4096"),
+        ("gain", "--perr", "0", "--perr must lie in (0, 1)"),
+        ("gain", "--perr", "1", "--perr must lie in (0, 1)"),
+    ])
+    def test_bad_run_wide_setting(self, tmp_path, capsys, command, option,
+                                  value, message):
+        scenario = ["--scenario", "equal-ser"] if command == "gain" else []
+        assert cli.main([command, *scenario, "--pulse", "rc,pl", "--alpha",
+                         "0.1:0.3:0.1", option, value,
+                         "-o", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_error_types_share_one_base(self):
         for exc in (imdd.DomainError, imdd.UnsupportedError,

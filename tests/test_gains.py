@@ -184,6 +184,16 @@ class TestSweep:
         assert all(f.receiver == "sampling" for f in res.failures)
         assert [p.pulse for p in res.points] == ["s2"]
 
+    def test_equal_eye_rejects_the_matched_receiver(self):
+        # equal eye is defined for the sampling receiver only; a forced
+        # matched receiver must not yield a row holding the sampling gain
+        res = gains.sweep("equal-eye", ["rc"], [0.5], [2],
+                          receivers=("matched",))
+        assert [(f.pulse, f.receiver) for f in res.failures] == [
+            ("rc", "matched")]
+        assert "sampling receiver only" in res.failures[0].error
+        assert [p.pulse for p in res.points] == ["s2"]
+
     def test_points_sorted_by_bandwidth(self):
         res = gains.sweep("equal-eye", ["rc", "s2"], [0.3, 0.6], [2, 4])
         keys = [(p.b_tb, p.pulse, p.alpha, p.m, p.receiver)

@@ -178,26 +178,28 @@ class TestOpticalPowers:
     def test_closed_form_for_inband_pulses(self):
         mu = MU_RC6
         pw = waveform.optical_powers(RC6, OOK, mu=mu)
-        assert pw.method == "closed-form"
         meta = pulses.metadata(RC6)
         peak = bias.peak_abs_sum(RC6)
         assert pw.p_opt == pytest.approx(mu + 0.5 * meta.q_bar, rel=1e-12)
         assert pw.p_max == pytest.approx(
-            mu + 0.5 * peak.f_abs + 0.5 * meta.q_bar, rel=1e-12)
+            mu + 0.5 * peak.value + 0.5 * meta.q_bar, rel=1e-12)
 
-    def test_search_fallback_for_wideband_pulses(self):
-        p = pulses.PulseSpec("src", 0.5)
-        pw = waveform.optical_powers(p, OOK, mu=0.0, n_sequences=10)
-        assert pw.method == "grid-lower-bound"
-        # a lone top-level symbol already produces x(0) = q(0) = 1
-        assert pw.p_max >= 1.0 - 1e-9
-        assert pw.p_max >= pw.p_opt
-
-    def test_deterministic(self):
-        p = pulses.PulseSpec("sdj", 0.5)
-        a = waveform.optical_powers(p, OOK, mu=0.0, n_sequences=5, seed=4)
-        b = waveform.optical_powers(p, OOK, mu=0.0, n_sequences=5, seed=4)
-        assert a == b
+    @pytest.mark.parametrize("family", ["src", "sdj"])
+    @pytest.mark.parametrize("levels", [(0.0, 1.0), (0.0, 1.0, 2.0, 3.0),
+                                        (1.0, 2.0)], ids=["ook", "pam4", "1-2"])
+    def test_wideband_peak_is_attained(self, family, levels):
+        # An all-top-level block attains the peak: the nonnegative train
+        # peaks at the symbol instants, where every other Nyquist pulse is
+        # zero, so even a finite block reaches a*(mu + a_hat*q(0)) exactly.
+        p = pulses.PulseSpec(family, 0.5)
+        c = bias.Constellation(levels)
+        mu = bias.required_bias(p, c).mu
+        pw = waveform.optical_powers(p, c, mu=mu, a=1.5)
+        wf = waveform.synthesize(p, c, [c.a_hat] * 16, mu=mu, a=1.5,
+                                 guard_mode="adversarial",
+                                 adversarial_seek="max")
+        assert pw.p_max == pytest.approx(float(wf.samples.max()), abs=1e-9)
+        assert pw.p_max == pytest.approx(1.5 * (mu + c.a_hat), abs=1e-12)
 
     def test_amplitude_scaling(self):
         w1 = waveform.optical_powers(RC6, OOK, mu=MU_RC6, a=1.0)
