@@ -85,6 +85,8 @@ def _parse_alpha_grid(text: str) -> tuple[float, ...]:
         values = [float(p) for p in parts]
     except ValueError as exc:
         raise DomainError(f"bad alpha grid {text!r}") from exc
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"alpha grid {text!r} must be finite")
     if len(values) == 1:
         return (values[0],)
     start, stop, step = values
@@ -299,7 +301,6 @@ def reproduce_configs(figure: str, out_dir: str = ".",
         return os.path.join(out_dir, f"{name}.{fmt}")
 
     dense = _parse_alpha_grid("0.01:1.0:0.005")
-    nyquist = tuple(f for f in pulses.FAMILIES if f != "rrc")
     if figure == "fig2":
         return [RunConfig(command="waveform", pulse_set=(fam,),
                           alphas=(0.6,), m_values=(2,), n_symbols=16,
@@ -315,8 +316,10 @@ def reproduce_configs(figure: str, out_dir: str = ".",
                           alphas=dense, m_values=(2,), fmt=fmt,
                           output=out("fig4"))]
     if figure == "fig5":
+        eye_set = tuple(f for f in pulses.FAMILIES
+                        if gains.valid_receivers(f, "equal-eye"))
         return [RunConfig(command="gain", scenario="equal-eye",
-                          pulse_set=nyquist, alphas=dense, m_values=(2, 4),
+                          pulse_set=eye_set, alphas=dense, m_values=(2, 4),
                           fmt=fmt, output=out("fig5"))]
     return [RunConfig(command="gain", scenario="equal-ser",
                       pulse_set=tuple(pulses.FAMILIES), alphas=dense,
@@ -428,14 +431,21 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         if hasattr(args, name):
             setattr(cfg, name, getattr(args, name))
     # run-wide settings are checked once here, not at every grid point
-    if cfg.ts <= 0:
-        raise DomainError("ts must be positive")
+    if not 0.0 < cfg.ts < math.inf:
+        raise DomainError("ts must be positive and finite")
     if not cfg.tail_tol > 0:
         raise DomainError("--tail-tol must be positive")
     if cfg.grid_n < bias.DEFAULT_GRID_N:
         raise DomainError(f"--grid-n must be >= {bias.DEFAULT_GRID_N}")
     if not 0.0 < cfg.p_err < 1.0:
         raise DomainError("--perr must lie in (0, 1)")
+    if cfg.p_err >= 0.5:
+        raise DomainError("--perr must be below 1/2, the largest SER of the "
+                          "OOK reference")
+    link.require_nonnegative("--a", cfg.a)
+    link.require_nonnegative("--n0", cfg.n0)
+    if cfg.command == "ser" and cfg.n_symbols < link.MC_MIN_SYMBOLS:
+        raise DomainError(f"--n must be >= {link.MC_MIN_SYMBOLS}")
     return cfg
 
 

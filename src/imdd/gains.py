@@ -8,15 +8,16 @@ E{a} = 1/2, q_bar = 1, so
     gain = 10 log10( (A_ref / A) * 0.5 / (mu + E{a} q_bar) ).
 
 The A_ref/A factor is 1 for the equal-eye scenario written against a unit
-eye per amplitude (Delta_a q(0) absorbs it), and the closed-form
-equal-SER amplitude ratio otherwise.  Written this way the reference maps
-to exactly 0 dB, which is what pins the curves' absolute level.
+eye per amplitude (Delta_a q(0) absorbs it).  At equal SER it is the ratio
+of the two amplitudes ``link.amplitude_for_ser`` gives at equal bit rate.
+Written this way the reference maps to exactly 0 dB, which is what pins
+the curves' absolute level.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import bias as _bias
 from . import link, pulses
@@ -70,42 +71,22 @@ def _avg_power_factor(pulse: pulses.PulseSpec,
 def gain_equal_eye(pulse: pulses.PulseSpec,
                    constellation: _bias.Constellation) -> float:
     """Gain in dB at equal eye opening (sampling receiver)."""
-    meta = pulses.metadata(pulse)
-    if not meta.is_nyquist:
-        raise UnsupportedError(
-            f"{pulse.family} is not a Nyquist pulse; the equal-eye scenario "
-            "is defined for the sampling receiver only")
+    q_zero = link.front_end(pulse, "sampling").h0
     mu, power = _avg_power_factor(pulse, constellation)
-    return 10.0 * math.log10(
-        constellation.delta_a * meta.q_zero / (2.0 * power))
+    return 10.0 * math.log10(constellation.delta_a * q_zero / (2.0 * power))
 
 
 def amp_ratio_equal_ser(receiver: str, pulse: pulses.PulseSpec,
                         constellation: _bias.Constellation,
                         p_err: float) -> float:
-    """Amplitude ratio A_ref/A at which both systems reach SER p_err."""
-    if receiver not in link.RECEIVERS:
-        raise DomainError(f"receiver must be one of {link.RECEIVERS}")
-    c = constellation
-    if not c.is_uniform_pam():
-        raise UnsupportedError("equal-SER gains require uniform PAM levels")
-    m = c.order
-    if not 0.0 < p_err < (m - 1) / m:
-        raise DomainError("p_err out of range for this PAM order")
-    meta = pulses.metadata(pulse)
-    bits = math.log2(m)
-    q_factor = link.q_inverse(p_err) / link.q_inverse(p_err * m / (2.0 * (m - 1)))
-    if receiver == "sampling":
-        if not meta.is_nyquist:
-            raise UnsupportedError(
-                f"{pulse.family} is not a Nyquist pulse; sampling reception "
-                "has no ISI-free SER")
-        return c.delta_a * meta.q_zero * q_factor * math.sqrt(bits / meta.b_ts)
-    if not meta.is_root_nyquist:
-        raise UnsupportedError(
-            f"{pulse.family} is not root-Nyquist; matched filtering has no "
-            "ISI-free SER")
-    return c.delta_a * q_factor * math.sqrt(2.0 * meta.energy_ratio * bits)
+    """Amplitude ratio A_ref/A at which both systems reach SER p_err at
+    equal bit rate: the pulse at ts = log2 M against s2 OOK at ts = 1."""
+    ref = link.LinkConfig(pulses.PulseSpec("s2", 0.5),
+                          _bias.Constellation.pam(2))
+    bits = math.log2(constellation.order)
+    tgt = link.LinkConfig(replace(pulse, ts=bits), constellation, receiver)
+    return (link.amplitude_for_ser(ref, p_err)
+            / link.amplitude_for_ser(tgt, p_err))
 
 
 def gain_equal_ser(receiver: str, pulse: pulses.PulseSpec,
@@ -141,10 +122,11 @@ def gain_point(scenario: str, receiver: str, pulse: pulses.PulseSpec,
 def valid_receivers(family: str, scenario: str) -> tuple[str, ...]:
     """Receivers for which the scenario has an ISI-free closed form; the
     equal-eye scenario is defined for the sampling receiver only."""
-    meta = pulses.metadata(pulses.PulseSpec(family, 0.5))
-    valid = {"sampling": meta.is_nyquist,
-             "matched": meta.is_root_nyquist and scenario != "equal-eye"}
-    return tuple(r for r in link.RECEIVERS if valid[r])
+    pulse = pulses.PulseSpec(family, 0.5)
+    receivers = ("sampling",) if scenario == "equal-eye" else link.RECEIVERS
+    fronts = grid(lambda r: link.front_end(pulse, r),
+                  ((r,) for r in receivers))
+    return tuple(r for (r,), fe in fronts if isinstance(fe, link.FrontEnd))
 
 
 def grid(point, keys):

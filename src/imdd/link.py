@@ -1,42 +1,40 @@
 """Simulated link: AWGN, sampling / matched-filter receivers, SER.
 
-Both receivers share one symbol-rate model.  The noise-free output at
-t = i ts is
+Both receivers share one symbol-rate model.  ``front_end`` says what a
+receiver makes of a unit-gain signal: its response h, the output dc of a
+unit bias, h(0), the noise variance per unit N0 and whether h vanishes at
+every k ts != 0.  The noise-free output at t = i ts is then
 
-    r_i = gain * (dc + sum_k a_{i-k} h_k)
+    r_i = A gain (mu dc + sum_k a_{i-k} h(k ts))
 
-with a gain, a DC term and taps h per configuration (``_taps``):
-
-* sampling: gain = A G0, dc = mu and h_k = q(k ts).  The ideal lowpass
+* sampling: h = q, dc = 1, h(0) = q(0) and noise N0 B.  The ideal lowpass
   front end passes the bandlimited waveform unchanged, so no filter
   realization is needed.
-* matched: gain = A zeta, dc = mu Q(0) and h_k = rho(k ts), the pulse
-  autocorrelation.  The bias is on for all time, so its filtered
-  contribution is exactly mu Q(0) = mu q_bar ts at every output sample.
+* matched: h = rho, the pulse autocorrelation, dc = Q(0) = q_bar ts (the
+  bias is on for all time), h(0) = Eq and noise N0 Eq / 2.
 
-For the ISI-free pairs (Nyquist pulses on the sampling receiver,
-root-Nyquist pulses on the matched one) every h_k with k != 0 vanishes and
-a single closed-form tap remains: q(0), or rho(0) = Eq, since for ``rrc``
-and ``xia`` rho is Eq times the raised cosine (Xia 1997).  ``allow_isi``
-pairs keep the taps over |k| <= ``waveform.effective_guard`` symbols,
-beyond which the pulse envelope is below its fixed floor; the ISI tail
-past that window is dropped.
-
-Noise is injected at the samples: sigma = G0 sqrt(N0 B) for sampling,
-zeta sqrt(N0 Eq / 2) for the matched filter.
+The scheme pairs Nyquist pulses with the sampling receiver and
+root-Nyquist pulses with the matched one; for such a pair h(k ts) = 0 at
+k != 0 and a single tap remains (rho(0) = Eq, since for ``rrc`` and
+``xia`` rho is Eq times the raised cosine, Xia 1997).  Any other pair has
+ISI and is refused unless ``allow_isi`` is set; it then keeps the taps
+over |k| <= ``pulses.effective_guard`` symbols, beyond which the pulse
+envelope is below its fixed floor, and drops the ISI tail past that window.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.signal import fftconvolve
 from scipy.special import erfc, erfcinv
 
 from . import bias as _bias
-from . import pulses, waveform
+from . import pulses
 from .errors import DomainError, UnsupportedError
 
 RECEIVERS = ("sampling", "matched")
@@ -46,39 +44,77 @@ MC_MIN_SYMBOLS = 10_000
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
+def require_nonnegative(name: str, value: float) -> None:
+    """Raise ``DomainError`` unless ``value`` is finite and >= 0."""
+    if not 0.0 <= value < math.inf:
+        raise DomainError(f"{name} must be finite and nonnegative, "
+                          f"not {value}")
+
+
+class FrontEnd(NamedTuple):
+    """A receiver's response to a unit-gain signal (see the module notes)."""
+
+    response: Callable     # h(pulse, t): pulses.evaluate or autocorrelation
+    dc: float              # output of a unit bias
+    h0: float              # h(0)
+    noise: float           # noise variance per unit N0
+    isi_free: bool         # h(k ts) = 0 for every k != 0
+
+
+@lru_cache(maxsize=256)
+def _energy(pulse: pulses.PulseSpec) -> float:
+    """Eq, in closed form for the root-Nyquist pulses; a lattice sum
+    otherwise, cached since the Monte Carlo loop asks once per chunk."""
+    meta = pulses.metadata(pulse)
+    if meta.energy_ratio is not None:
+        return meta.energy_ratio * pulse.ts
+    return pulses.energy(pulse, tol=1e-9)
+
+
+def front_end(pulse: pulses.PulseSpec, receiver: str,
+              allow_isi: bool = False) -> FrontEnd:
+    """The receiver model: Nyquist pulses go to the sampling receiver and
+    root-Nyquist pulses to the matched filter.  Any other pair has ISI and
+    raises ``UnsupportedError`` unless ``allow_isi`` is set."""
+    if receiver not in RECEIVERS:
+        raise DomainError(f"receiver must be one of {RECEIVERS}")
+    meta = pulses.metadata(pulse)
+    sampling = receiver == "sampling"
+    isi_free = meta.is_nyquist if sampling else meta.is_root_nyquist
+    if not (isi_free or allow_isi):
+        kind = "a Nyquist" if sampling else "a root-Nyquist"
+        raise UnsupportedError(
+            f"{pulse.family} is not {kind} pulse; the {receiver} receiver "
+            "would see ISI (set allow_isi to override)")
+    if sampling:
+        return FrontEnd(pulses.evaluate, 1.0, meta.q_zero,
+                        meta.b_ts / pulse.ts, isi_free)
+    eq = _energy(pulse)
+    return FrontEnd(pulses.autocorrelation, meta.q_bar * pulse.ts, eq,
+                    eq / 2.0, isi_free)
+
+
 @dataclass(frozen=True)
 class LinkConfig:
     """One receiver chain: pulse, constellation, receiver kind, amplitude,
-    noise density and gains.  ``allow_isi`` permits deliberately mismatched
-    pulse/receiver pairs (the ISI-free sample contracts are then void)."""
+    noise density and the receiver's gain (G0 of the sampling front end or
+    zeta of the matched filter).  ``allow_isi`` permits deliberately
+    mismatched pulse/receiver pairs (the ISI-free sample contracts are then
+    void)."""
 
     pulse: pulses.PulseSpec
     constellation: _bias.Constellation
     receiver: str = "sampling"
     a: float = 1.0
     n0: float = 1.0
-    g0: float = 1.0
-    zeta: float = 1.0
+    gain: float = 1.0
     seed: int = 0
     allow_isi: bool = False
 
     def __post_init__(self):
-        if self.receiver not in RECEIVERS:
-            raise DomainError(f"receiver must be one of {RECEIVERS}")
-        if self.a < 0:
-            raise DomainError("amplitude a must be nonnegative")
-        if self.n0 < 0:
-            raise DomainError("n0 must be nonnegative")
-        meta = pulses.metadata(self.pulse)
-        if not self.allow_isi:
-            if self.receiver == "sampling" and not meta.is_nyquist:
-                raise DomainError(
-                    f"{self.pulse.family} is not a Nyquist pulse; sampling "
-                    "reception has ISI (set allow_isi to override)")
-            if self.receiver == "matched" and not meta.is_root_nyquist:
-                raise DomainError(
-                    f"{self.pulse.family} is not root-Nyquist; matched "
-                    "filtering has ISI (set allow_isi to override)")
+        require_nonnegative("amplitude a", self.a)
+        require_nonnegative("n0", self.n0)
+        front_end(self.pulse, self.receiver, self.allow_isi)
 
 
 @dataclass(frozen=True)
@@ -92,20 +128,13 @@ class SerEstimate:
     p_analytic: float
 
 
-def _energy(cfg: LinkConfig) -> float:
-    meta = pulses.metadata(cfg.pulse)
-    if meta.energy_ratio is not None:
-        return meta.energy_ratio * cfg.pulse.ts
-    return pulses.energy(cfg.pulse, tol=1e-9)
+def _front_end(cfg: LinkConfig) -> FrontEnd:
+    return front_end(cfg.pulse, cfg.receiver, cfg.allow_isi)
 
 
 def noise_sigma(cfg: LinkConfig) -> float:
     """Receiver-sample noise standard deviation."""
-    meta = pulses.metadata(cfg.pulse)
-    if cfg.receiver == "sampling":
-        bandwidth = meta.b_ts / cfg.pulse.ts
-        return cfg.g0 * math.sqrt(cfg.n0 * bandwidth)
-    return cfg.zeta * math.sqrt(cfg.n0 * _energy(cfg) / 2.0)
+    return cfg.gain * math.sqrt(cfg.n0 * _front_end(cfg).noise)
 
 
 def _required_mu(cfg: LinkConfig) -> float:
@@ -114,29 +143,18 @@ def _required_mu(cfg: LinkConfig) -> float:
 
 def noise_free_levels(cfg: LinkConfig) -> np.ndarray:
     """Closed-form receiver sample for each constellation level."""
-    meta = pulses.metadata(cfg.pulse)
-    mu = _required_mu(cfg)
+    fe = _front_end(cfg)
     levels = np.asarray(cfg.constellation.levels)
-    if cfg.receiver == "sampling":
-        return cfg.a * cfg.g0 * (mu + levels * meta.q_zero)
-    q0_area = meta.q_bar * cfg.pulse.ts
-    return cfg.a * cfg.zeta * (mu * q0_area + levels * _energy(cfg))
+    return cfg.a * cfg.gain * (_required_mu(cfg) * fe.dc + levels * fe.h0)
 
 
 def _taps(cfg: LinkConfig) -> tuple[float, float, np.ndarray]:
     """(dc, gain, h) of the symbol-rate model; h is centred on k = 0."""
-    meta = pulses.metadata(cfg.pulse)
-    mu = _required_mu(cfg)
-    ts = cfg.pulse.ts
-    if cfg.receiver == "sampling":
-        dc, gain, response = mu, cfg.a * cfg.g0, pulses.evaluate
-        isi_free = meta.is_nyquist
-    else:
-        dc, gain = mu * (meta.q_bar * ts), cfg.a * cfg.zeta
-        response, isi_free = pulses.autocorrelation, meta.is_root_nyquist
+    fe = _front_end(cfg)
     # an ISI-free pair's taps vanish at k != 0: h = [q(0)] or [Eq]
-    w = 0 if isi_free else waveform.effective_guard(cfg.pulse)
-    return dc, gain, response(cfg.pulse, np.arange(-w, w + 1) * ts)
+    w = 0 if fe.isi_free else pulses.effective_guard(cfg.pulse)
+    return (_required_mu(cfg) * fe.dc, cfg.a * cfg.gain,
+            fe.response(cfg.pulse, np.arange(-w, w + 1) * cfg.pulse.ts))
 
 
 def receiver_samples(cfg: LinkConfig, symbols, *, noise: bool = True,
@@ -167,15 +185,13 @@ def q_inverse(p: float) -> float:
 
 
 def _detection_arg(cfg: LinkConfig) -> float:
-    """Argument of the Gaussian tail in the closed-form SER."""
-    meta = pulses.metadata(cfg.pulse)
-    c = cfg.constellation
+    """Argument of the Gaussian tail in the closed-form SER: half the
+    level spacing over the noise standard deviation."""
     if cfg.n0 == 0.0:
         return math.inf
-    if cfg.receiver == "sampling":
-        bandwidth = meta.b_ts / cfg.pulse.ts
-        return cfg.a * c.delta_a * meta.q_zero / (2.0 * math.sqrt(cfg.n0 * bandwidth))
-    return cfg.a * c.delta_a * math.sqrt(_energy(cfg) / (2.0 * cfg.n0))
+    fe = _front_end(cfg)
+    return (cfg.a * cfg.constellation.delta_a * fe.h0
+            / (2.0 * math.sqrt(cfg.n0 * fe.noise)))
 
 
 def analytic_ser(cfg: LinkConfig) -> float:
@@ -196,11 +212,8 @@ def amplitude_for_ser(cfg: LinkConfig, p_err: float) -> float:
     if not 0.0 < p_err < (m - 1) / m:
         raise DomainError("p_err out of range for this PAM order")
     arg = q_inverse(p_err * m / (2.0 * (m - 1)))
-    meta = pulses.metadata(cfg.pulse)
-    if cfg.receiver == "sampling":
-        bandwidth = meta.b_ts / cfg.pulse.ts
-        return 2.0 * math.sqrt(cfg.n0 * bandwidth) * arg / (c.delta_a * meta.q_zero)
-    return arg / (c.delta_a * math.sqrt(_energy(cfg) / (2.0 * cfg.n0)))
+    fe = _front_end(cfg)
+    return 2.0 * math.sqrt(cfg.n0 * fe.noise) * arg / (c.delta_a * fe.h0)
 
 
 def monte_carlo_ser(cfg: LinkConfig, n_symbols: int,

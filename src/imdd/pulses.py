@@ -36,6 +36,9 @@ FAMILIES = ("rc", "btn", "pl", "poly", "s2", "src", "sdj", "rrc", "xia")
 
 _LN2 = math.log(2.0)
 
+MIN_GUARD = 8
+GUARD_ENVELOPE_TOL = 1e-3
+
 
 @dataclass(frozen=True)
 class PulseSpec:
@@ -57,8 +60,8 @@ class PulseSpec:
                               f"expected one of {FAMILIES}")
         if not (ALPHA_MIN <= self.alpha <= 1.0):
             raise DomainError(f"alpha={self.alpha} outside [{ALPHA_MIN}, 1]")
-        if not self.ts > 0:
-            raise DomainError(f"ts={self.ts} must be positive")
+        if not 0.0 < self.ts < math.inf:
+            raise DomainError(f"ts={self.ts} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -221,6 +224,14 @@ def tail_envelope(pulse: PulseSpec) -> tuple[float, float, float]:
         "xia":  (2.0, 1.0 / (np.pi * a), 1.0 / a),
     }
     return table[pulse.family]
+
+
+def effective_guard(pulse: PulseSpec) -> int:
+    """Symbols after which the pulse envelope drops below a fixed floor;
+    the minimum admissible guard length."""
+    p, coef, u0 = tail_envelope(pulse)
+    u_eff = max(u0, (coef / GUARD_ENVELOPE_TOL) ** (1.0 / p))
+    return max(MIN_GUARD, int(math.ceil(u_eff)))
 
 
 # ---------------------------------------------------------------------------

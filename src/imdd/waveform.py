@@ -9,27 +9,16 @@ pulse, which is the exact shifted-sum up to float rounding.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import fftconvolve
 
 from . import bias as _bias
-from . import pulses
+from . import link, pulses
 from .errors import DomainError
 
 MIN_RATE = 16
-MIN_GUARD = 8
-GUARD_ENVELOPE_TOL = 1e-3
-
-
-def effective_guard(pulse: pulses.PulseSpec) -> int:
-    """Symbols after which the pulse envelope drops below a fixed floor;
-    the minimum admissible guard length."""
-    p, coef, u0 = pulses.tail_envelope(pulse)
-    u_eff = max(u0, (coef / GUARD_ENVELOPE_TOL) ** (1.0 / p))
-    return max(MIN_GUARD, int(math.ceil(u_eff)))
 
 
 @dataclass
@@ -116,6 +105,7 @@ def synthesize(pulse: pulses.PulseSpec, constellation: _bias.Constellation,
     """
     if rate < MIN_RATE:
         raise DomainError(f"rate must be >= {MIN_RATE}")
+    link.require_nonnegative("amplitude a", a)
     symbols = np.asarray(symbols, dtype=float)
     if symbols.ndim != 1 or symbols.size == 0:
         raise DomainError("symbols must be a nonempty 1-D sequence")
@@ -123,7 +113,7 @@ def synthesize(pulse: pulses.PulseSpec, constellation: _bias.Constellation,
     if not np.all(np.isclose(symbols[:, None], levels[None, :],
                              rtol=0.0, atol=1e-9).any(axis=1)):
         raise DomainError("symbols must be constellation levels")
-    g_min = effective_guard(pulse)
+    g_min = pulses.effective_guard(pulse)
     if guard is None:
         guard = g_min
     elif guard < g_min:
@@ -168,44 +158,29 @@ def optical_powers(pulse: pulses.PulseSpec,
 def eye_diagram(pulse: pulses.PulseSpec, constellation: _bias.Constellation,
                 receiver: str = "sampling", n_traces: int = 64,
                 rate: int = 32, seed: int = 0, *,
-                a: float = 1.0, g0: float = 1.0,
-                zeta: float = 1.0) -> EyeTraces:
+                a: float = 1.0, gain: float = 1.0) -> EyeTraces:
     """Noise-free receiver output sliced into overlapping 2*ts windows.
 
-    The sampling receiver's front end passes the (bandlimited) waveform
-    unchanged, so its traces are g0*x(t).  The matched receiver's
-    deterministic output is zeta*a*(mu*Q0 + sum a_k rho(t - k ts)), with
-    the closed-form rho of the root-Nyquist pulses.
+    The output is gain*a*(mu*dc + sum a_k h(t - k ts)) with the receiver's
+    ``link.front_end``: h = q for the sampling receiver, whose front end
+    passes the bandlimited waveform unchanged, and the closed-form rho of
+    the root-Nyquist pulses for the matched one.
     """
     if n_traces < 1:
         raise DomainError("n_traces must be >= 1")
-    meta = pulses.metadata(pulse)
-    if receiver == "sampling":
-        if not meta.is_nyquist:
-            raise DomainError(f"{pulse.family} is not a Nyquist pulse; "
-                              "the sampling receiver would see ISI")
-    elif receiver == "matched":
-        if not meta.is_root_nyquist:
-            raise DomainError(f"{pulse.family} is not root-Nyquist; "
-                              "the matched filter would see ISI")
-    else:
-        raise DomainError(f"unknown receiver {receiver!r}")
+    link.require_nonnegative("amplitude a", a)
+    fe = link.front_end(pulse, receiver)
 
     mu = _bias.required_bias(pulse, constellation).mu
-    guard = effective_guard(pulse)
+    guard = pulses.effective_guard(pulse)
     n_sym = n_traces + 1
     rng = np.random.default_rng(seed)
     levels = np.asarray(constellation.levels)
     block = rng.choice(levels, size=n_sym)
     full = np.concatenate([rng.choice(levels, size=guard), block,
                            rng.choice(levels, size=guard)])
-
-    if receiver == "sampling":
-        r = g0 * a * (mu + _superpose(pulses.evaluate, pulse, full, rate))
-    else:
-        q0_area = meta.q_bar * pulse.ts
-        train = _superpose(pulses.autocorrelation, pulse, full, rate)
-        r = zeta * a * (mu * q0_area + train)
+    train = _superpose(fe.response, pulse, full, rate)
+    r = gain * a * (mu * fe.dc + train)
 
     win = 2 * rate
     traces = np.empty((n_traces, win))

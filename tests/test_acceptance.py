@@ -386,12 +386,12 @@ def test_criterion_11b_oversampling_error_reduction():
     # (c) xia is asymmetric, so its rho = Eq rc relies on the correlation's
     # symmetry, not the pulse's; ts != 1 checks the time scaling
     p = pulses.PulseSpec("xia", 0.5, 2.0)
-    rate, n_traces, seed, zeta = 16, 8, 3, 0.8
+    rate, n_traces, seed, gain = 16, 8, 3, 0.8
     eye = waveform.eye_diagram(p, PAM4, receiver="matched",
                                n_traces=n_traces, rate=rate, seed=seed,
-                               zeta=zeta)
+                               gain=gain)
     # the eye's symbols: the block first, then the left and right guards
-    guard = waveform.effective_guard(p)
+    guard = pulses.effective_guard(p)
     rng = np.random.default_rng(seed)
     levels = np.asarray(PAM4.levels)
     block = rng.choice(levels, size=n_traces + 1)
@@ -405,6 +405,6 @@ def test_criterion_11b_oversampling_error_reduction():
     train = (rho[inv.reshape(lags.shape)] * full).sum(axis=2)
     meta = pulses.metadata(p)
     mu = bias.required_bias(p, PAM4).mu
-    expected = zeta * (mu * meta.q_bar * p.ts + train)
+    expected = gain * (mu * meta.q_bar * p.ts + train)
     err = float(np.max(np.abs(eye.traces - expected)))
     assert err < 1e-9 * p.ts, err          # measured 3.3e-10

@@ -297,7 +297,8 @@ class TestArgumentErrors:
                          "-o", str(out)]) == 2
         assert (tmp_path / "x.errors.csv").exists()
 
-    @pytest.mark.parametrize("grid", ["abc", "0.1:x:0.1"])
+    @pytest.mark.parametrize("grid", ["abc", "0.1:x:0.1", "0.1:nan:0.1",
+                                      "0.1:inf:0.1", "nan"])
     def test_malformed_alpha_grid(self, tmp_path, grid):
         assert cli.main(["bias", "--pulse", "rc", "--alpha", grid,
                          "-o", str(tmp_path / "x.csv")]) == 2
@@ -316,6 +317,16 @@ class TestArgumentErrors:
         ("bias", "--grid-n", "1024", "--grid-n must be >= 4096"),
         ("gain", "--perr", "0", "--perr must lie in (0, 1)"),
         ("gain", "--perr", "1", "--perr must lie in (0, 1)"),
+        ("gain", "--perr", "0.5",
+         "--perr must be below 1/2, the largest SER of the OOK reference"),
+        ("bias", "--ts", "inf", "ts must be positive and finite"),
+        ("bias", "--ts", "nan", "ts must be positive and finite"),
+        ("ser", "--a", "nan", "--a must be finite and nonnegative, not nan"),
+        ("ser", "--a", "-1", "--a must be finite and nonnegative, not -1.0"),
+        ("ser", "--n0", "-1",
+         "--n0 must be finite and nonnegative, not -1.0"),
+        ("ser", "--n", "100", "--n must be >= 10000"),
+        ("eye", "--a", "-1", "--a must be finite and nonnegative, not -1.0"),
     ])
     def test_bad_run_wide_setting(self, tmp_path, capsys, command, option,
                                   value, message):

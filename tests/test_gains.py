@@ -194,6 +194,24 @@ class TestSweep:
         assert "sampling receiver only" in res.failures[0].error
         assert [p.pulse for p in res.points] == ["s2"]
 
+    def test_p_err_beyond_the_reference_is_recorded_not_raised(self):
+        # OOK never reaches SER 1/2, so neither can the reference; 4-PAM
+        # alone would allow up to 3/4
+        for p_err in (0.5, 0.6):
+            res = gains.sweep("equal-ser", ["rc"], [0.5], [4], p_err)
+            assert res.points == []
+            assert [(f.pulse, f.m) for f in res.failures] == [
+                ("rc", 4), ("s2", 2)]
+            assert all(f.error == "p_err out of range for this PAM order"
+                       for f in res.failures)
+
+    def test_infinite_ts_is_recorded_not_raised(self):
+        res = gains.sweep("equal-eye", ["rc"], [0.5], [2], ts=math.inf)
+        assert res.points == []
+        assert all("must be positive and finite" in f.error
+                   for f in res.failures)
+        assert len(res.failures) == 2
+
     def test_points_sorted_by_bandwidth(self):
         res = gains.sweep("equal-eye", ["rc", "s2"], [0.3, 0.6], [2, 4])
         keys = [(p.b_tb, p.pulse, p.alpha, p.m, p.receiver)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from imdd import bias, link, pulses, waveform
+from imdd import bias, gains, link, pulses, waveform
 from imdd.errors import DomainError, UnsupportedError
 
 OOK = bias.Constellation.pam(2)
@@ -39,6 +39,12 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             cfg_rc(n0=-0.1)
 
+    @pytest.mark.parametrize("field", ["a", "n0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_amplitude_and_noise(self, field, value):
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            cfg_rc(**{field: value})
+
     def test_isi_guards(self):
         # root-only pulse on the sampling receiver
         with pytest.raises(DomainError):
@@ -58,15 +64,97 @@ class TestConfigValidation:
                             constellation=OOK, receiver=receiver)
 
 
+ALL_PAIRS = [(family, receiver) for family in pulses.FAMILIES
+             for receiver in link.RECEIVERS]
+
+
+def isi_free(family, receiver):
+    meta = pulses.metadata(pulses.PulseSpec(family, 0.5))
+    return meta.is_nyquist if receiver == "sampling" else meta.is_root_nyquist
+
+
+class TestFrontEnd:
+    """The Nyquist / root-Nyquist rule has one source: every site accepts
+    a pair, or rejects it with UnsupportedError, as the pulse flags say."""
+
+    @pytest.mark.parametrize("family, receiver", ALL_PAIRS)
+    @pytest.mark.parametrize("allow_isi", [False, True])
+    def test_link_config_follows_the_flags(self, family, receiver,
+                                           allow_isi):
+        p = pulses.PulseSpec(family, 0.5)
+        if allow_isi or isi_free(family, receiver):
+            link.LinkConfig(p, OOK, receiver, allow_isi=allow_isi)
+            fe = link.front_end(p, receiver, allow_isi)
+            assert fe.isi_free == isi_free(family, receiver)
+        else:
+            with pytest.raises(UnsupportedError):
+                link.LinkConfig(p, OOK, receiver, allow_isi=allow_isi)
+
+    @pytest.mark.parametrize("family, receiver", ALL_PAIRS)
+    def test_every_site_follows_the_flags(self, family, receiver):
+        p = pulses.PulseSpec(family, 0.5)
+        sites = [
+            lambda: waveform.eye_diagram(p, OOK, receiver, n_traces=1),
+            lambda: gains.amp_ratio_equal_ser(receiver, p, OOK, 1e-3),
+        ]
+        ok = isi_free(family, receiver)
+        for site in sites:
+            if ok:
+                site()
+            else:
+                with pytest.raises(UnsupportedError):
+                    site()
+        assert (receiver in gains.valid_receivers(family, "equal-ser")) == ok
+
+    def test_energy_sum_runs_once_and_after_the_rule(self, monkeypatch):
+        # the matched front end of a non-root-Nyquist pulse needs the
+        # lattice sum for Eq: never for a refused pair, once per pulse
+        calls = []
+        energy = pulses.energy
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return energy(*args, **kwargs)
+
+        monkeypatch.setattr(pulses, "energy", counted)
+        link._energy.cache_clear()
+        p = pulses.PulseSpec("pl", 0.5)
+        with pytest.raises(UnsupportedError):
+            link.LinkConfig(p, OOK, "matched")
+        assert calls == []
+        cfg = link.LinkConfig(p, OOK, "matched", allow_isi=True)
+        link.monte_carlo_ser(cfg, 3 * link.MC_CHUNK)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("family, receiver", [
+        ("rc", "matched"), ("pl", "matched"), ("rrc", "sampling")])
+    def test_isi_pairs_keep_the_closed_form_ser(self, family, receiver):
+        # the ISI-free reference 2 (M-1)/M Q(d / 2 sigma), from the pulse's
+        # own q(0), bandwidth and energy
+        p = pulses.PulseSpec(family, 0.5)
+        m, a, n0 = 4, 2.0, 0.2
+        cfg = link.LinkConfig(p, bias.Constellation.pam(m), receiver, a=a,
+                              n0=n0, allow_isi=True)
+        meta = pulses.metadata(p)
+        if receiver == "sampling":
+            arg = a * meta.q_zero / (2.0 * math.sqrt(n0 * meta.b_ts / p.ts))
+        else:
+            arg = a * math.sqrt(pulses.energy(p, tol=1e-9) / (2.0 * n0))
+        expected = 2.0 * (m - 1) / m * 0.5 * math.erfc(arg / math.sqrt(2.0))
+        est = link.monte_carlo_ser(cfg, link.MC_MIN_SYMBOLS)
+        assert math.isfinite(est.p_analytic)
+        assert est.p_analytic == pytest.approx(expected, rel=1e-12)
+
+
 class TestNoiseSigma:
     def test_sampling_uses_pulse_bandwidth(self):
-        cfg = cfg_rc(n0=2.0, g0=1.5)
+        cfg = cfg_rc(n0=2.0, gain=1.5)
         meta = pulses.metadata(cfg.pulse)
         expected = 1.5 * math.sqrt(2.0 * meta.b_ts / cfg.pulse.ts)
         assert link.noise_sigma(cfg) == pytest.approx(expected, rel=1e-12)
 
     def test_matched_uses_pulse_energy(self):
-        cfg = cfg_rrc(n0=2.0, zeta=0.5)
+        cfg = cfg_rrc(n0=2.0, gain=0.5)
         eq = pulses.metadata(cfg.pulse).energy_ratio * cfg.pulse.ts
         expected = 0.5 * math.sqrt(2.0 * eq / 2.0)
         assert link.noise_sigma(cfg) == pytest.approx(expected, rel=1e-12)
@@ -77,14 +165,14 @@ class TestNoiseFreeLevels:
         m = 4
         c = bias.Constellation.pam(m)
         cfg = link.LinkConfig(pulse=pulses.PulseSpec("rc", 0.5),
-                              constellation=c, a=2.0, g0=1.5)
+                              constellation=c, a=2.0, gain=1.5)
         mu = bias.required_bias(cfg.pulse, c).mu
         expected = 2.0 * 1.5 * (mu + np.arange(m))     # q(0) = 1
         np.testing.assert_allclose(link.noise_free_levels(cfg), expected,
                                    rtol=1e-12)
 
     def test_matched_closed_form(self):
-        cfg = cfg_rrc(a=2.0, zeta=0.7)
+        cfg = cfg_rrc(a=2.0, gain=0.7)
         meta = pulses.metadata(cfg.pulse)
         mu = bias.required_bias(cfg.pulse, OOK).mu
         eq = meta.energy_ratio * cfg.pulse.ts
@@ -101,7 +189,7 @@ class TestNoiseFreeLevels:
 
 class TestReceiverSamples:
     def test_sampling_receiver_is_isi_free(self):
-        cfg = cfg_rc(a=1.7, g0=0.9)
+        cfg = cfg_rc(a=1.7, gain=0.9)
         rng = np.random.default_rng(3)
         sym = rng.choice(np.asarray(OOK.levels), size=200)
         det = link.receiver_samples(cfg, sym, noise=False)
@@ -159,7 +247,7 @@ class TestIsiTaps:
         h_of = getattr(pulses, response)
         cfg = link.LinkConfig(pulse=p, constellation=OOK, receiver=receiver,
                               allow_isi=True)
-        w = waveform.effective_guard(p)
+        w = pulses.effective_guard(p)
         k = np.arange(-w - 4, w + 5)
         det = link.receiver_samples(cfg, (k == 0).astype(float), noise=False)
         base = link.receiver_samples(cfg, np.zeros(k.size), noise=False)

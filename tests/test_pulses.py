@@ -37,7 +37,7 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             pulses.PulseSpec("gauss", 0.5)
 
-    @pytest.mark.parametrize("ts", [0.0, -1.0])
+    @pytest.mark.parametrize("ts", [0.0, -1.0, np.inf, np.nan])
     def test_ts_positive(self, ts):
         with pytest.raises(DomainError):
             pulses.PulseSpec("rc", 0.5, ts)

@@ -13,20 +13,20 @@ MU_RC6 = 0.184566790565   # brute-force OOK bias for rc, alpha=0.6
 
 class TestEffectiveGuard:
     def test_floor(self):
-        assert waveform.effective_guard(pulses.PulseSpec("poly", 1.0)) == \
-            waveform.MIN_GUARD
+        assert pulses.effective_guard(pulses.PulseSpec("poly", 1.0)) == \
+            pulses.MIN_GUARD
 
     def test_slow_tails_need_longer_guards(self):
-        slow = waveform.effective_guard(pulses.PulseSpec("rrc", 0.05))
-        fast = waveform.effective_guard(pulses.PulseSpec("rrc", 0.9))
-        assert slow > fast >= waveform.MIN_GUARD
+        slow = pulses.effective_guard(pulses.PulseSpec("rrc", 0.05))
+        fast = pulses.effective_guard(pulses.PulseSpec("rrc", 0.9))
+        assert slow > fast >= pulses.MIN_GUARD
 
     def test_envelope_below_floor_beyond_guard(self):
         p = pulses.PulseSpec("pl", 0.3)
-        g = waveform.effective_guard(p)
+        g = pulses.effective_guard(p)
         u = np.linspace(g, g + 50, 2001)
         assert np.max(np.abs(pulses.evaluate(p, u * p.ts))) <= \
-            waveform.GUARD_ENVELOPE_TOL * 1.001
+            pulses.GUARD_ENVELOPE_TOL * 1.001
 
 
 class TestSynthesizeValidation:
@@ -45,6 +45,11 @@ class TestSynthesizeValidation:
     def test_guard_floor(self):
         with pytest.raises(DomainError):
             waveform.synthesize(RC6, OOK, [0.0, 1.0], mu=MU_RC6, guard=2)
+
+    @pytest.mark.parametrize("a", [-1.0, np.nan, np.inf])
+    def test_amplitude_finite_and_nonnegative(self, a):
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            waveform.synthesize(RC6, OOK, [0.0, 1.0], mu=MU_RC6, a=a)
 
     def test_unknown_guard_mode(self):
         with pytest.raises(DomainError):
@@ -221,9 +226,9 @@ class TestEyeDiagram:
         m = 4
         c = bias.Constellation.pam(m)
         mu = bias.required_bias(RC6, c).mu
-        g0 = 1.3
-        eye = waveform.eye_diagram(RC6, c, n_traces=32, rate=32, g0=g0)
-        levels = g0 * (mu + np.asarray(c.levels))   # q(0) = 1 for rc
+        gain = 1.3
+        eye = waveform.eye_diagram(RC6, c, n_traces=32, rate=32, gain=gain)
+        levels = gain * (mu + np.asarray(c.levels))   # q(0) = 1 for rc
         col0 = eye.traces[:, 0]
         dist = np.min(np.abs(col0[:, None] - levels[None, :]), axis=1)
         assert np.max(dist) < 1e-9
@@ -235,7 +240,7 @@ class TestEyeDiagram:
         meta = pulses.metadata(p)
         eq = meta.energy_ratio * p.ts
         eye = waveform.eye_diagram(p, c, receiver="matched", n_traces=16,
-                                   rate=32, zeta=0.8)
+                                   rate=32, gain=0.8)
         levels = 0.8 * (mu * meta.q_bar * p.ts + np.asarray(c.levels) * eq)
         col0 = eye.traces[:, 0]
         dist = np.min(np.abs(col0[:, None] - levels[None, :]), axis=1)
@@ -254,6 +259,11 @@ class TestEyeDiagram:
                              receiver="sampling", n_traces=4)
         waveform.eye_diagram(pulses.PulseSpec("xia", 0.5), OOK,
                              receiver="matched", n_traces=4)
+
+    @pytest.mark.parametrize("a", [-1.0, np.nan])
+    def test_amplitude_finite_and_nonnegative(self, a):
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            waveform.eye_diagram(RC6, OOK, n_traces=4, a=a)
 
     def test_trace_count_validation(self):
         with pytest.raises(DomainError):
