@@ -5,109 +5,10 @@ real PAM constellation and one of nine bandlimited pulses q.  The package
 computes the minimum bias mu keeping x nonnegative, synthesizes
 waveforms, models sampling and matched-filter reception over AWGN, and
 produces optical power gain curves against the sinc^2/OOK reference.
+Its API is its modules: ``pulses``, ``bias``, ``waveform``, ``link``,
+``gains`` and ``errors``, with the ``imdd`` command line in ``cli``.
 """
-
-from .bias import (
-    BiasSolution,
-    Constellation,
-    FoldValue,
-    bias_curve,
-    folded_abs_sum,
-    folded_signed_sum,
-    peak_abs_sum,
-    required_bias,
-)
-from .errors import DomainError, NumericalDivergenceError, UnsupportedError
-from .gains import (
-    GainFailure,
-    GainPoint,
-    SweepResult,
-    amp_ratio_equal_ser,
-    gain_equal_eye,
-    gain_equal_ser,
-    gain_point,
-    sweep,
-)
-from .link import (
-    LinkConfig,
-    SerEstimate,
-    amplitude_for_ser,
-    analytic_ser,
-    monte_carlo_ser,
-    noise_sigma,
-    q_inverse,
-    receiver_samples,
-)
-from .pulses import (
-    ALPHA_MIN,
-    FAMILIES,
-    PulseMetadata,
-    PulseSpec,
-    autocorrelation,
-    energy,
-    evaluate,
-    metadata,
-    nyquist_residual,
-    spectrum_at,
-    tail_envelope,
-)
-from .waveform import (
-    EyeTraces,
-    OpticalPowers,
-    WaveformGrid,
-    adversarial_symbols,
-    eye_diagram,
-    optical_powers,
-    synthesize,
-)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALPHA_MIN",
-    "BiasSolution",
-    "Constellation",
-    "DomainError",
-    "EyeTraces",
-    "FAMILIES",
-    "FoldValue",
-    "GainFailure",
-    "GainPoint",
-    "LinkConfig",
-    "NumericalDivergenceError",
-    "OpticalPowers",
-    "PulseMetadata",
-    "PulseSpec",
-    "SerEstimate",
-    "SweepResult",
-    "UnsupportedError",
-    "WaveformGrid",
-    "adversarial_symbols",
-    "amp_ratio_equal_ser",
-    "amplitude_for_ser",
-    "analytic_ser",
-    "autocorrelation",
-    "bias_curve",
-    "energy",
-    "evaluate",
-    "eye_diagram",
-    "folded_abs_sum",
-    "folded_signed_sum",
-    "gain_equal_eye",
-    "gain_equal_ser",
-    "gain_point",
-    "metadata",
-    "monte_carlo_ser",
-    "noise_sigma",
-    "nyquist_residual",
-    "optical_powers",
-    "peak_abs_sum",
-    "q_inverse",
-    "receiver_samples",
-    "required_bias",
-    "spectrum_at",
-    "sweep",
-    "synthesize",
-    "tail_envelope",
-    "__version__",
-]
+from . import bias, errors, gains, link, pulses, waveform  # noqa: E402,F401

@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import astuple
 
 import numpy as np
 
@@ -32,32 +32,6 @@ _GAIN_HEADER = ("scenario", "receiver", "pulse", "alpha", "m", "b_tb",
                 "gain_db", "mu", "q_bar", "q_zero")
 _BIAS_HEADER = ("pulse", "alpha", "m", "ts", "mu", "mu_norm",
                 "argmax_t", "k_trunc")
-
-
-@dataclass
-class RunConfig:
-    """Validated arguments of one CLI invocation."""
-
-    command: str
-    pulse_set: tuple[str, ...] = ()
-    alphas: tuple[float, ...] = ()
-    m_values: tuple[int, ...] = (2,)
-    scenario: str | None = None
-    receiver: str | None = None
-    p_err: float = 1e-6
-    seed: int = 0
-    output: str = ""
-    fmt: str = "csv"
-    ts: float = 1.0
-    a: float = 1.0
-    n0: float = 1.0
-    n_symbols: int = 100_000
-    target: int | None = None
-    rate: int = 32
-    n_traces: int = 64
-    grid_n: int = bias.DEFAULT_GRID_N
-    tail_tol: float = bias.DEFAULT_TAIL_TOL
-    allow_isi: bool = False
 
 
 def _parse_pulse_list(text: str) -> tuple[str, ...]:
@@ -117,11 +91,15 @@ def _fmt(value) -> str:
 
 
 def _check_writable(path: str):
+    """Fail early on an unwritable path without creating the artifact, so
+    an error found later leaves no file behind."""
     parent = os.path.dirname(os.path.abspath(path))
     try:
         os.makedirs(parent, exist_ok=True)
-        with open(path, "a", encoding="utf-8"):
-            pass
+        existed = os.path.exists(path)
+        open(path, "a", encoding="utf-8").close()
+        if not existed:
+            os.remove(path)
     except OSError as exc:
         raise DomainError(f"output path {path!r} is not writable: {exc}")
 
@@ -136,10 +114,10 @@ def _write_csv(path: str, header, rows, comments=()):
         writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
-def _write_rows(cfg: RunConfig, header, rows, t0: float, comments=(),
-                extra: str = ""):
+def _write_rows(cfg: argparse.Namespace, header, rows, t0: float,
+                comments=(), extra: str = ""):
     """Write the artifact and print the command's summary line."""
-    if cfg.fmt == "json":
+    if cfg.format == "json":
         payload = {"version": __version__, "command": cfg.command}
         if comments:
             payload["params"] = dict(comments)
@@ -154,7 +132,7 @@ def _write_rows(cfg: RunConfig, header, rows, t0: float, comments=(),
           f"{extra} [{elapsed:.2f} s]")
 
 
-def _finish(cfg: RunConfig, header, results, t0: float,
+def _finish(cfg: argparse.Namespace, header, results, t0: float,
             extra=lambda rows: "") -> int:
     """Split a grid's (key, row | error) stream into the artifact and the
     ``<stem>.errors.csv`` sidecar, and map failures to the exit code
@@ -179,12 +157,12 @@ def _finish(cfg: RunConfig, header, results, t0: float,
     return 3 if diverged else 2
 
 
-def _keys(cfg: RunConfig, *more):
+def _keys(cfg: argparse.Namespace, *more):
     return itertools.product(sorted(cfg.pulse_set), cfg.alphas,
                              cfg.m_values, *more)
 
 
-def _run_bias(cfg: RunConfig, t0: float) -> int:
+def _run_bias(cfg: argparse.Namespace, t0: float) -> int:
     def point(family, alpha, m):
         sol = bias.required_bias(pulses.PulseSpec(family, alpha, cfg.ts),
                                  bias.Constellation.pam(m),
@@ -195,7 +173,7 @@ def _run_bias(cfg: RunConfig, t0: float) -> int:
     return _finish(cfg, _BIAS_HEADER, gains.grid(point, _keys(cfg)), t0)
 
 
-def _run_ser(cfg: RunConfig, t0: float) -> int:
+def _run_ser(cfg: argparse.Namespace, t0: float) -> int:
     def point(family, alpha, m, receiver):
         lc = link.LinkConfig(
             pulse=pulses.PulseSpec(family, alpha, cfg.ts),
@@ -205,12 +183,11 @@ def _run_ser(cfg: RunConfig, t0: float) -> int:
         return (family, alpha, m, receiver, cfg.a, cfg.n0, est.p_analytic,
                 est.p_hat, est.ci95, est.n_symbols)
 
-    receivers = (cfg.receiver or "sampling",)
     return _finish(cfg, _SER_HEADER,
-                   gains.grid(point, _keys(cfg, receivers)), t0)
+                   gains.grid(point, _keys(cfg, (cfg.receiver,))), t0)
 
 
-def _run_gain(cfg: RunConfig, t0: float) -> int:
+def _run_gain(cfg: argparse.Namespace, t0: float) -> int:
     def extra(rows):
         db = [row[6] for row in rows]
         return f" (gain min {min(db):.3f} dB, max {max(db):.3f} dB)"
@@ -224,7 +201,7 @@ def _run_gain(cfg: RunConfig, t0: float) -> int:
                     for key, res in results), t0, extra)
 
 
-def _run_waveform(cfg: RunConfig, t0: float) -> int:
+def _run_waveform(cfg: argparse.Namespace, t0: float) -> int:
     family, alpha, m = cfg.pulse_set[0], cfg.alphas[0], cfg.m_values[0]
     pulse = pulses.PulseSpec(family, alpha, cfg.ts)
     constellation = bias.Constellation.pam(m)
@@ -244,12 +221,11 @@ def _run_waveform(cfg: RunConfig, t0: float) -> int:
     return 0
 
 
-def _run_eye(cfg: RunConfig, t0: float) -> int:
+def _run_eye(cfg: argparse.Namespace, t0: float) -> int:
     family, alpha, m = cfg.pulse_set[0], cfg.alphas[0], cfg.m_values[0]
     pulse = pulses.PulseSpec(family, alpha, cfg.ts)
     constellation = bias.Constellation.pam(m)
-    receiver = cfg.receiver or "sampling"
-    eye = waveform.eye_diagram(pulse, constellation, receiver,
+    eye = waveform.eye_diagram(pulse, constellation, cfg.receiver,
                                n_traces=cfg.n_traces, rate=cfg.rate,
                                seed=cfg.seed, a=cfg.a)
     rows = []
@@ -258,7 +234,7 @@ def _run_eye(cfg: RunConfig, t0: float) -> int:
             rows.append((i, t_val, v))
     comments = (("pulse", family), ("alpha", alpha), ("m", m),
                 ("ts", cfg.ts), ("a", cfg.a), ("rate", cfg.rate),
-                ("seed", cfg.seed), ("receiver", receiver),
+                ("seed", cfg.seed), ("receiver", cfg.receiver),
                 ("traces", cfg.n_traces))
     _write_rows(cfg, ("trace", "t", "value"), rows, t0, comments)
     return 0
@@ -273,69 +249,53 @@ _RUNNERS = {
 }
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute a validated configuration; returns the process exit code."""
-    if cfg.command not in _RUNNERS:
-        raise DomainError(f"unknown command {cfg.command!r}")
-    if not cfg.pulse_set or not cfg.alphas or not cfg.m_values:
-        raise DomainError("pulse, alpha, and m grids must be nonempty")
-    if cfg.command in ("waveform", "eye"):
-        if len(cfg.pulse_set) != 1 or len(cfg.alphas) != 1 \
-                or len(cfg.m_values) != 1:
-            raise DomainError(
-                f"{cfg.command} takes exactly one pulse, alpha, and m")
-    if cfg.command == "gain" and cfg.scenario not in gains.SCENARIOS:
-        raise DomainError(f"scenario must be one of {gains.SCENARIOS}")
+def run(cfg: argparse.Namespace) -> int:
+    """Execute a configuration from ``_config_from_args``; returns the
+    process exit code."""
     _check_writable(cfg.output)
     t0 = time.perf_counter()
     return _RUNNERS[cfg.command](cfg, t0)
 
 
-def reproduce_configs(figure: str, out_dir: str = ".",
-                      fmt: str = "csv") -> list[RunConfig]:
-    """The sweep configurations behind each shipped dataset."""
+def reproduce_argv(figure: str, out_dir: str = ".",
+                   fmt: str = "csv") -> list[list[str]]:
+    """The command lines behind each shipped dataset."""
     if figure not in FIGURES:
         raise DomainError(f"figure must be one of {FIGURES}")
 
-    def out(name: str) -> str:
-        return os.path.join(out_dir, f"{name}.{fmt}")
+    def out(name: str) -> list[str]:
+        return ["--format", fmt,
+                f"--output={os.path.join(out_dir, f'{name}.{fmt}')}"]
 
-    dense = _parse_alpha_grid("0.01:1.0:0.005")
+    dense = "0.01:1.0:0.005"
     if figure == "fig2":
-        return [RunConfig(command="waveform", pulse_set=(fam,),
-                          alphas=(0.6,), m_values=(2,), n_symbols=16,
-                          seed=0, fmt=fmt, output=out(f"fig2_{fam}"))
-                for fam in ("rc", "src")]
+        return [["waveform", "--pulse", fam, "--alpha", "0.6",
+                 *out(f"fig2_{fam}")] for fam in ("rc", "src")]
     if figure == "fig3":
-        return [RunConfig(command="eye", pulse_set=(fam,), alphas=(0.6,),
-                          m_values=(2,), receiver="sampling", seed=0,
-                          fmt=fmt, output=out(f"fig3_{fam}"))
+        return [["eye", "--pulse", fam, "--alpha", "0.6", *out(f"fig3_{fam}")]
                 for fam in ("rc", "pl", "btn", "xia")]
     if figure == "fig4":
-        return [RunConfig(command="bias", pulse_set=tuple(pulses.FAMILIES),
-                          alphas=dense, m_values=(2,), fmt=fmt,
-                          output=out("fig4"))]
+        return [["bias", "--pulse", "all", "--alpha", dense, *out("fig4")]]
     if figure == "fig5":
-        eye_set = tuple(f for f in pulses.FAMILIES
-                        if gains.valid_receivers(f, "equal-eye"))
-        return [RunConfig(command="gain", scenario="equal-eye",
-                          pulse_set=eye_set, alphas=dense, m_values=(2, 4),
-                          fmt=fmt, output=out("fig5"))]
-    return [RunConfig(command="gain", scenario="equal-ser",
-                      pulse_set=tuple(pulses.FAMILIES), alphas=dense,
-                      m_values=(2, 4), p_err=1e-6, fmt=fmt,
-                      output=out("fig6"))]
+        eye_set = ",".join(f for f in pulses.FAMILIES
+                           if gains.valid_receivers(f, "equal-eye"))
+        return [["gain", "--scenario", "equal-eye", "--pulse", eye_set,
+                 "--alpha", dense, "--m", "2,4", *out("fig5")]]
+    return [["gain", "--scenario", "equal-ser", "--pulse", "all",
+             "--alpha", dense, "--m", "2,4", *out("fig6")]]
 
 
 def reproduce(figure: str, out_dir: str = ".", fmt: str = "csv") -> int:
     """Emit the full dataset behind one shipped figure."""
+    parser = _build_parser()
     status = 0
-    for cfg in reproduce_configs(figure, out_dir, fmt):
-        status = max(status, run(cfg))
+    for argv in reproduce_argv(figure, out_dir, fmt):
+        status = max(status, run(_config_from_args(parser.parse_args(argv))))
     return status
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The one place the CLI's settings and their defaults are declared."""
     parser = argparse.ArgumentParser(
         prog="imdd",
         description="Bandlimited pulse shaping for IM/DD links with a "
@@ -345,30 +305,31 @@ def _build_parser() -> argparse.ArgumentParser:
                         version=f"imdd {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
+    files = argparse.ArgumentParser(add_help=False)
+    files.add_argument("--out-dir",
+                       default=os.environ.get("IMDD_OUT_DIR", "."),
+                       help="default output directory (env IMDD_OUT_DIR)")
+    files.add_argument("--format", choices=("csv", "json"), default="csv")
+
+    common = argparse.ArgumentParser(add_help=False, parents=[files])
     common.add_argument("-o", "--output",
                         help="output file (default <out-dir>/<command>.<format>)")
-    common.add_argument("--out-dir",
-                        default=os.environ.get("IMDD_OUT_DIR", "."),
-                        help="default output directory (env IMDD_OUT_DIR)")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--ts", type=float, default=1.0,
                         help="symbol period (default 1.0)")
     common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--pulse", required=True, help="comma list or 'all'")
+    common.add_argument("--m", default="2", help="comma list of PAM orders")
+    alpha_help = "value or start:stop:step"
 
     p = sub.add_parser("bias", parents=[common],
                        help="minimum DC bias over a pulse/alpha/M grid")
-    p.add_argument("--pulse", required=True, help="comma list or 'all'")
-    p.add_argument("--alpha", required=True, help="value or start:stop:step")
-    p.add_argument("--m", default="2", help="comma list of PAM orders")
+    p.add_argument("--alpha", required=True, help=alpha_help)
     p.add_argument("--grid-n", type=int, default=bias.DEFAULT_GRID_N)
     p.add_argument("--tail-tol", type=float, default=bias.DEFAULT_TAIL_TOL)
 
     p = sub.add_parser("waveform", parents=[common],
                        help="sampled transmit intensity for random symbols")
-    p.add_argument("--pulse", required=True)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--m", default="2")
+    p.add_argument("--alpha", required=True, help=alpha_help)
     p.add_argument("--n", type=int, default=16, dest="n_symbols",
                    help="number of interior symbols")
     p.add_argument("--a", type=float, default=1.0)
@@ -376,9 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eye", parents=[common],
                        help="noise-free receiver eye traces")
-    p.add_argument("--pulse", required=True)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--m", default="2")
+    p.add_argument("--alpha", required=True, help=alpha_help)
     p.add_argument("--receiver", choices=link.RECEIVERS, default="sampling")
     p.add_argument("--traces", type=int, default=64, dest="n_traces")
     p.add_argument("--a", type=float, default=1.0)
@@ -386,9 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ser", parents=[common],
                        help="Monte Carlo symbol error rate")
-    p.add_argument("--pulse", required=True)
-    p.add_argument("--alpha", default="0.5")
-    p.add_argument("--m", default="2")
+    p.add_argument("--alpha", default="0.5", help=alpha_help)
     p.add_argument("--receiver", choices=link.RECEIVERS, default="sampling")
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--n0", type=float, default=1.0)
@@ -400,58 +357,52 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gain", parents=[common],
                        help="optical power gain curves")
     p.add_argument("--scenario", required=True, choices=gains.SCENARIOS)
-    p.add_argument("--pulse", required=True)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--m", default="2")
+    p.add_argument("--alpha", required=True, help=alpha_help)
     p.add_argument("--receiver", choices=link.RECEIVERS, default=None,
                    help="default: every receiver valid for the pulse")
     p.add_argument("--perr", type=float, default=1e-6, dest="p_err")
 
-    p = sub.add_parser("reproduce", help="emit a shipped dataset")
+    p = sub.add_parser("reproduce", parents=[files],
+                       help="emit a shipped dataset")
     p.add_argument("figure", choices=FIGURES)
-    p.add_argument("--out-dir",
-                   default=os.environ.get("IMDD_OUT_DIR", "."))
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    cfg.pulse_set = _parse_pulse_list(args.pulse)
-    cfg.alphas = _parse_alpha_grid(args.alpha)
-    cfg.m_values = _parse_m_list(args.m)
-    cfg.fmt = args.format
-    cfg.ts = args.ts
-    cfg.seed = args.seed
-    cfg.output = args.output or os.path.join(
+def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """Parse the grids onto ``args``, fill in the default output path, and
+    check once the run-wide settings the command has."""
+    args.pulse_set = _parse_pulse_list(args.pulse)
+    args.alphas = _parse_alpha_grid(args.alpha)
+    args.m_values = _parse_m_list(args.m)
+    args.output = args.output or os.path.join(
         args.out_dir, f"{args.command}.{args.format}")
-    for name in ("scenario", "receiver", "p_err", "a", "n0", "n_symbols",
-                 "target", "rate", "n_traces", "grid_n", "tail_tol",
-                 "allow_isi"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    # run-wide settings are checked once here, not at every grid point
-    if not 0.0 < cfg.ts < math.inf:
+    if not 0.0 < args.ts < math.inf:
         raise DomainError("ts must be positive and finite")
-    if not cfg.tail_tol > 0:
+    if "tail_tol" in args and not args.tail_tol > 0:
         raise DomainError("--tail-tol must be positive")
-    if cfg.grid_n < bias.DEFAULT_GRID_N:
+    if "grid_n" in args and args.grid_n < bias.DEFAULT_GRID_N:
         raise DomainError(f"--grid-n must be >= {bias.DEFAULT_GRID_N}")
-    if not 0.0 < cfg.p_err < 1.0:
-        raise DomainError("--perr must lie in (0, 1)")
-    if cfg.p_err >= 0.5:
-        raise DomainError("--perr must be below 1/2, the largest SER of the "
-                          "OOK reference")
-    link.require_nonnegative("--a", cfg.a)
-    link.require_nonnegative("--n0", cfg.n0)
-    if cfg.command == "ser" and cfg.n_symbols < link.MC_MIN_SYMBOLS:
+    if "p_err" in args:
+        if not 0.0 < args.p_err < 1.0:
+            raise DomainError("--perr must lie in (0, 1)")
+        if args.p_err >= 0.5:
+            raise DomainError("--perr must be below 1/2, the largest SER of "
+                              "the OOK reference")
+    for name in ("a", "n0"):
+        if name in args:
+            link.require_nonnegative(f"--{name}", getattr(args, name))
+    if args.command == "ser" and args.n_symbols < link.MC_MIN_SYMBOLS:
         raise DomainError(f"--n must be >= {link.MC_MIN_SYMBOLS}")
-    return cfg
+    if args.command in ("waveform", "eye") and (
+            len(args.pulse_set) > 1 or len(args.alphas) > 1
+            or len(args.m_values) > 1):
+        raise DomainError(
+            f"{args.command} takes exactly one pulse, alpha, and m")
+    return args
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "reproduce":
             return reproduce(args.figure, args.out_dir, args.format)

@@ -9,6 +9,7 @@ pulse, which is the exact shifted-sum up to float rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,6 @@ class WaveformGrid:
     t0: float
     ts: float
     symbol_span: tuple[int, int]
-    scale_a: float
-    bias_mu: float
 
     @property
     def t(self) -> np.ndarray:
@@ -48,7 +47,6 @@ class EyeTraces:
     receiver_kind: str
     pulse: pulses.PulseSpec
     constellation: _bias.Constellation
-    sampling_phase: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -57,6 +55,13 @@ class OpticalPowers:
 
     p_opt: float
     p_max: float
+
+
+def _require_finite_bias(mu: float) -> None:
+    """A bias may be negative (an offset below the required one), not
+    infinite or NaN."""
+    if not math.isfinite(mu):
+        raise DomainError(f"bias mu must be finite, not {mu}")
 
 
 def adversarial_symbols(pulse: pulses.PulseSpec,
@@ -106,6 +111,7 @@ def synthesize(pulse: pulses.PulseSpec, constellation: _bias.Constellation,
     if rate < MIN_RATE:
         raise DomainError(f"rate must be >= {MIN_RATE}")
     link.require_nonnegative("amplitude a", a)
+    _require_finite_bias(mu)
     symbols = np.asarray(symbols, dtype=float)
     if symbols.ndim != 1 or symbols.size == 0:
         raise DomainError("symbols must be a nonempty 1-D sequence")
@@ -136,7 +142,7 @@ def synthesize(pulse: pulses.PulseSpec, constellation: _bias.Constellation,
     train = _superpose(pulses.evaluate, pulse, full, rate)
     return WaveformGrid(samples=a * (mu + train), rate=rate,
                         t0=-guard * pulse.ts, ts=pulse.ts,
-                        symbol_span=(0, n), scale_a=a, bias_mu=mu)
+                        symbol_span=(0, n))
 
 
 def optical_powers(pulse: pulses.PulseSpec,
@@ -148,6 +154,8 @@ def optical_powers(pulse: pulses.PulseSpec,
     minus the smallest for the mirrored levels -a_k, which is the bias
     those levels need.  It comes from the same cached search as ``mu``.
     """
+    link.require_nonnegative("amplitude a", a)
+    _require_finite_bias(mu)
     p_opt = a * (mu + constellation.mean * pulses.metadata(pulse).q_bar)
     mirrored = _bias.Constellation(
         tuple(-v for v in reversed(constellation.levels)))

@@ -8,7 +8,7 @@ import warnings
 import pytest
 
 import imdd
-from imdd import cli
+from imdd import cli, pulses
 
 
 def read_lines(path):
@@ -326,6 +326,7 @@ class TestArgumentErrors:
         ("ser", "--n0", "-1",
          "--n0 must be finite and nonnegative, not -1.0"),
         ("ser", "--n", "100", "--n must be >= 10000"),
+        # a bad run-wide setting is reported before eye's one-point check
         ("eye", "--a", "-1", "--a must be finite and nonnegative, not -1.0"),
     ])
     def test_bad_run_wide_setting(self, tmp_path, capsys, command, option,
@@ -337,9 +338,27 @@ class TestArgumentErrors:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_eye_matched_receiver_needs_root_nyquist(self, tmp_path, capsys):
+        assert cli.main(["eye", "--pulse", "rc", "--alpha", "0.5",
+                         "--receiver", "matched",
+                         "-o", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "error: rc is not a root-Nyquist pulse; the matched receiver "
+            "would see ISI (set allow_isi to override)\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["x" * 300, "out/"])
+    def test_uncreatable_output_name(self, tmp_path, capsys, name):
+        # the name itself is checked before any grid point is computed
+        assert cli.main(["bias", "--pulse", "rc", "--alpha", "0.5",
+                         "-o", f"{tmp_path}/{name}"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: output path ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_error_types_share_one_base(self):
-        for exc in (imdd.DomainError, imdd.UnsupportedError,
-                    imdd.NumericalDivergenceError):
+        for exc in (imdd.errors.DomainError, imdd.errors.UnsupportedError,
+                    imdd.errors.NumericalDivergenceError):
             assert issubclass(exc, imdd.errors.ImddError)
 
     def test_unknown_figure_is_a_usage_error(self):
@@ -381,8 +400,32 @@ class TestReproduce:
                         "fig3_xia.csv"]
 
     def test_all_figures_have_configs(self):
+        # every figure's command lines pass the parser and the CLI's checks;
+        # an output path is one --output=... word, so a directory whose name
+        # starts with a dash is not read as an option
+        parser = cli._build_parser()
         for fig in cli.FIGURES:
-            cfgs = cli.reproduce_configs(fig, out_dir="/tmp", fmt="csv")
-            assert cfgs
-            for cfg in cfgs:
-                assert cfg.output.startswith("/tmp/")
+            argvs = cli.reproduce_argv(fig, out_dir="-figs", fmt="csv")
+            assert argvs
+            for argv in argvs:
+                cfg = cli._config_from_args(parser.parse_args(argv))
+                assert cfg.output.startswith("-figs/")
+
+    def test_dense_figures_sweep_the_paper_grid(self):
+        parser = cli._build_parser()
+        (fig4,), (fig5,), (fig6,) = (
+            [cli._config_from_args(parser.parse_args(argv))
+             for argv in cli.reproduce_argv(fig, fmt="json")]
+            for fig in ("fig4", "fig5", "fig6"))
+        dense = tuple(round(0.01 + 0.005 * i, 12) for i in range(199))
+        for cfg in (fig4, fig5, fig6):
+            assert cfg.alphas == dense
+            assert cfg.output.endswith(".json") and cfg.format == "json"
+        assert fig4.command == "bias" and fig4.m_values == (2,)
+        assert fig4.pulse_set == fig6.pulse_set == tuple(pulses.FAMILIES)
+        assert (fig5.scenario, fig6.scenario) == ("equal-eye", "equal-ser")
+        assert fig5.pulse_set == tuple(f for f in pulses.FAMILIES
+                                       if f != "rrc")
+        for cfg in (fig5, fig6):
+            assert cfg.m_values == (2, 4)
+            assert cfg.receiver is None and cfg.p_err == 1e-6

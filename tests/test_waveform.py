@@ -56,6 +56,11 @@ class TestSynthesizeValidation:
             waveform.synthesize(RC6, OOK, [0.0, 1.0], mu=MU_RC6,
                                 guard_mode="zeros")
 
+    @pytest.mark.parametrize("mu", [np.nan, np.inf, -np.inf])
+    def test_bias_finite(self, mu):
+        with pytest.raises(DomainError, match="bias mu must be finite"):
+            waveform.synthesize(RC6, OOK, [0.0, 1.0], mu=mu)
+
 
 class TestSynthesizeGrid:
     def test_shape_and_time_axis(self):
@@ -205,6 +210,16 @@ class TestOpticalPowers:
                                  adversarial_seek="max")
         assert pw.p_max == pytest.approx(float(wf.samples.max()), abs=1e-9)
         assert pw.p_max == pytest.approx(1.5 * (mu + c.a_hat), abs=1e-12)
+
+    @pytest.mark.parametrize("a", [-1.0, np.nan, np.inf])
+    def test_amplitude_finite_and_nonnegative(self, a):
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            waveform.optical_powers(RC6, OOK, mu=MU_RC6, a=a)
+
+    @pytest.mark.parametrize("mu", [np.nan, np.inf, -np.inf])
+    def test_bias_finite(self, mu):
+        with pytest.raises(DomainError, match="bias mu must be finite"):
+            waveform.optical_powers(RC6, OOK, mu=mu)
 
     def test_amplitude_scaling(self):
         w1 = waveform.optical_powers(RC6, OOK, mu=MU_RC6, a=1.0)
