@@ -10,6 +10,7 @@ or configuration, 3 numerical divergence.  Per-row sweep failures go to a
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import json
@@ -90,10 +91,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _check_writable(path: str):
+def _check_writable(path: str) -> list[str]:
     """Fail early on an unwritable path without creating the artifact, so
-    an error found later leaves no file behind."""
+    an error found later leaves no file behind.  Returns the directories
+    it created, deepest first, for ``_remove_empty``."""
     parent = os.path.dirname(os.path.abspath(path))
+    created, d = [], parent
+    while not os.path.exists(d):
+        created.append(d)
+        d = os.path.dirname(d)
     try:
         os.makedirs(parent, exist_ok=True)
         existed = os.path.exists(path)
@@ -101,7 +107,16 @@ def _check_writable(path: str):
         if not existed:
             os.remove(path)
     except OSError as exc:
+        _remove_empty(created)
         raise DomainError(f"output path {path!r} is not writable: {exc}")
+    return created
+
+
+def _remove_empty(dirs):
+    """Remove each of ``dirs`` that the run left empty."""
+    for d in dirs:
+        with contextlib.suppress(OSError):
+            os.rmdir(d)
 
 
 def _write_csv(path: str, header, rows, comments=()):
@@ -252,9 +267,12 @@ _RUNNERS = {
 def run(cfg: argparse.Namespace) -> int:
     """Execute a configuration from ``_config_from_args``; returns the
     process exit code."""
-    _check_writable(cfg.output)
+    created = _check_writable(cfg.output)
     t0 = time.perf_counter()
-    return _RUNNERS[cfg.command](cfg, t0)
+    try:
+        return _RUNNERS[cfg.command](cfg, t0)
+    finally:
+        _remove_empty(created)
 
 
 def reproduce_argv(figure: str, out_dir: str = ".",

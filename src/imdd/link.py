@@ -30,7 +30,7 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import erfc, erfcinv
 
 from . import bias as _bias
@@ -157,6 +157,22 @@ def _taps(cfg: LinkConfig) -> tuple[float, float, np.ndarray]:
             fe.response(cfg.pulse, np.arange(-w, w + 1) * cfg.pulse.ts))
 
 
+def fftconvolve(in1, in2) -> np.ndarray:
+    """The centred ``in1.size`` part of the linear convolution of two real
+    1-D arrays, computed as scipy.signal.fftconvolve(in1, in2, "same")
+    computes it: a one-element input gives the plain product, anything
+    else a zero-padded real FFT of ``next_fast_len`` points."""
+    in1, in2 = np.asarray(in1), np.asarray(in2)
+    n = in1.size + in2.size - 1
+    if in1.size == 1 or in2.size == 1:
+        full = in1 * in2
+    else:
+        nfft = next_fast_len(n, real=True)
+        full = irfft(rfft(in1, nfft) * rfft(in2, nfft), nfft)
+    start = (n - in1.size) // 2
+    return full[start:start + in1.size]
+
+
 def receiver_samples(cfg: LinkConfig, symbols, *, noise: bool = True,
                      rng: np.random.Generator | None = None) -> np.ndarray:
     """Receiver output r(i ts) for a block of symbols; the required bias is
@@ -164,8 +180,7 @@ def receiver_samples(cfg: LinkConfig, symbols, *, noise: bool = True,
     deviation noise_sigma(cfg) are added."""
     symbols = np.asarray(symbols, dtype=float)
     dc, gain, h = _taps(cfg)
-    w = h.size // 2
-    det = gain * (dc + fftconvolve(symbols, h)[w:w + symbols.size])
+    det = gain * (dc + fftconvolve(symbols, h))
     if not noise:
         return det
     if rng is None:

@@ -13,11 +13,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from . import bias as _bias
 from . import link, pulses
 from .errors import DomainError
+from .link import fftconvolve
 
 MIN_RATE = 16
 
@@ -94,7 +94,7 @@ def _superpose(response, pulse: pulses.PulseSpec, full_symbols: np.ndarray,
     up[::rate] = full_symbols
     tap_t = np.arange(1 - n_grid, n_grid) * (pulse.ts / rate)
     taps = response(pulse, tap_t)
-    return fftconvolve(up, taps, mode="same")
+    return fftconvolve(up, taps)
 
 
 def synthesize(pulse: pulses.PulseSpec, constellation: _bias.Constellation,

@@ -356,6 +356,23 @@ class TestArgumentErrors:
             "error: output path ")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("name", ["sub/deeper/x.csv",
+                                      "sub/" + "x" * 300])
+    def test_failed_run_leaves_no_directory(self, tmp_path, capsys, name):
+        # the missing parents made for the writability check go again
+        # when the run writes nothing (here: a refused point or a bad name)
+        assert cli.main(["eye", "--pulse", "rc", "--alpha", "0.5",
+                         "--receiver", "matched",
+                         "-o", f"{tmp_path}/{name}"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_run_keeps_the_directories_it_writes_to(self, tmp_path):
+        out = tmp_path / "sub" / "deeper" / "x.csv"
+        assert cli.main(["bias", "--pulse", "rc", "--alpha", "0.5",
+                         "-o", str(out)]) == 0
+        assert out.is_file()
+
     def test_error_types_share_one_base(self):
         for exc in (imdd.errors.DomainError, imdd.errors.UnsupportedError,
                     imdd.errors.NumericalDivergenceError):

@@ -2,6 +2,9 @@
 seeded Monte Carlo estimator."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -387,3 +390,41 @@ class TestMonteCarlo:
         est = link.monte_carlo_ser(cfg, 20_000)
         assert est.p_hat == 0.0
         assert est.p_analytic == 0.0
+
+
+class TestFftconvolve:
+    """``link.fftconvolve`` against ``np.convolve``, a direct sum."""
+
+    @pytest.mark.parametrize("n1, n2", [
+        (1, 1), (1, 40), (1, 41), (40, 1), (41, 1), (16384, 1),
+        (16384, 17), (96, 191), (97, 193), (8, 5), (5, 8)])
+    def test_matches_direct_sum(self, n1, n2):
+        rng = np.random.default_rng(n1 + n2)
+        in1, in2 = rng.normal(size=n1), rng.normal(size=n2)
+        full = np.convolve(in1, in2, mode="full")
+        start = (full.size - n1) // 2
+        want = full[start:start + n1]
+        got = link.fftconvolve(in1, in2)
+        assert got.shape == want.shape
+        scale = np.abs(in1).sum() * np.abs(in2).sum()
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+    def test_one_element_is_the_plain_product(self):
+        in1 = np.array([0.1, 0.2, 0.3])
+        assert np.array_equal(link.fftconvolve(in1, [3.0]), in1 * 3.0)
+
+    def test_one_helper_for_receiver_and_waveform(self):
+        assert waveform.fftconvolve is link.fftconvolve
+
+
+def test_import_loads_no_scipy_signal():
+    # scipy.signal (and the scipy.stats it pulls in) costs about a second
+    # and 50 MB at import; the package needs neither
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("import sys, imdd, imdd.cli; print(sorted(m for m in sys.modules"
+            " if m.split('.')[:2] in (['scipy', 'signal'],"
+            " ['scipy', 'stats'])))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout == "[]\n"
