@@ -25,13 +25,12 @@ envelope is below its fixed floor, and drops the ISI tail past that window.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.special import erfc, erfcinv
 
 from . import bias as _bias
 from . import pulses
@@ -157,18 +156,35 @@ def _taps(cfg: LinkConfig) -> tuple[float, float, np.ndarray]:
             fe.response(cfg.pulse, np.arange(-w, w + 1) * cfg.pulse.ts))
 
 
+def _fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, the real FFT length that
+    scipy.fft.next_fast_len(n, real=True) picks."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power of two that lifts p35 to n or beyond
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def fftconvolve(in1, in2) -> np.ndarray:
     """The centred ``in1.size`` part of the linear convolution of two real
     1-D arrays, computed as scipy.signal.fftconvolve(in1, in2, "same")
     computes it: a one-element input gives the plain product, anything
-    else a zero-padded real FFT of ``next_fast_len`` points."""
+    else a zero-padded real FFT of ``_fast_len`` points (numpy >= 2 and
+    scipy share the pocketfft kernels, so the bits match)."""
     in1, in2 = np.asarray(in1), np.asarray(in2)
     n = in1.size + in2.size - 1
     if in1.size == 1 or in2.size == 1:
         full = in1 * in2
     else:
-        nfft = next_fast_len(n, real=True)
-        full = irfft(rfft(in1, nfft) * rfft(in2, nfft), nfft)
+        nfft = _fast_len(n)
+        full = np.fft.irfft(np.fft.rfft(in1, nfft) * np.fft.rfft(in2, nfft),
+                            nfft)
     start = (n - in1.size) // 2
     return full[start:start + in1.size]
 
@@ -189,14 +205,15 @@ def receiver_samples(cfg: LinkConfig, symbols, *, noise: bool = True,
 
 
 def _q_func(x: float) -> float:
-    return 0.5 * erfc(x / math.sqrt(2.0))
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 def q_inverse(p: float) -> float:
-    """Inverse Gaussian tail function."""
+    """Inverse Gaussian tail function, -Phi^-1(p): the lower tail keeps
+    its precision at small p, where 1 - p would round."""
     if not 0.0 < p < 1.0:
         raise DomainError("q_inverse needs 0 < p < 1")
-    return math.sqrt(2.0) * float(erfcinv(2.0 * p))
+    return -statistics.NormalDist().inv_cdf(p)
 
 
 def _detection_arg(cfg: LinkConfig) -> float:

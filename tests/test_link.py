@@ -273,6 +273,17 @@ class TestQInverse:
     def test_median_is_zero(self):
         assert link.q_inverse(0.5) == pytest.approx(0.0, abs=1e-12)
 
+    def test_matches_mpmath(self):
+        # sqrt(2) erfinv(1 - 2p) at 40 digits, over p in [1e-15, 0.5)
+        mp = pytest.importorskip("mpmath")
+        ps = np.concatenate([np.logspace(-15, math.log10(0.499), 120),
+                             np.linspace(0.3, 0.5 - 1e-7, 40)])
+        with mp.workdps(40):
+            for p in ps.tolist():
+                want = mp.sqrt(2) * mp.erfinv(1 - 2 * mp.mpf(p))
+                got = link.q_inverse(p)
+                assert abs(got - want) <= 2e-15 * want, p
+
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1])
     def test_domain(self, p):
         with pytest.raises(DomainError):
@@ -286,6 +297,21 @@ class TestAnalyticSer:
         arg = 3.0 * 1.0 / (2.0 * math.sqrt(0.5 * meta.b_ts / cfg.pulse.ts))
         expected = 0.5 * math.erfc(arg / math.sqrt(2.0))
         assert link.analytic_ser(cfg) == pytest.approx(expected, rel=1e-12)
+
+    def test_q_matches_mpmath(self):
+        # erfc(x / sqrt 2) / 2 at 40 digits, over detection arguments
+        # x in [0, 12]; the argument is formed as analytic_ser forms it
+        mp = pytest.importorskip("mpmath")
+        p = cfg_rc().pulse
+        meta = pulses.metadata(p)
+        two_sigma = 2.0 * math.sqrt(meta.b_ts / p.ts)     # n0 = 1
+        with mp.workdps(40):
+            for x in np.linspace(0.0, 12.0, 97).tolist():
+                a = x * two_sigma / meta.q_zero
+                arg = a * meta.q_zero / two_sigma
+                want = mp.erfc(mp.mpf(arg) / mp.sqrt(2)) / 2
+                got = link.analytic_ser(cfg_rc(a=a))
+                assert abs(got - want) <= 5e-14 * want, x
 
     def test_zero_amplitude_is_pure_guessing(self):
         for m in (2, 4, 8):
@@ -416,14 +442,49 @@ class TestFftconvolve:
     def test_one_helper_for_receiver_and_waveform(self):
         assert waveform.fftconvolve is link.fftconvolve
 
+    @pytest.mark.parametrize("taps", [1, 3, 5, 17, 33])
+    def test_receiver_bits_match_scipy_signal(self, taps):
+        signal = pytest.importorskip("scipy.signal")
+        rng = np.random.default_rng(taps)
+        symbols = rng.integers(0, 4, size=16384).astype(float)
+        h = rng.normal(size=taps)
+        assert np.array_equal(link.fftconvolve(symbols, h),
+                              signal.fftconvolve(symbols, h, "same"))
 
-def test_import_loads_no_scipy_signal():
-    # scipy.signal (and the scipy.stats it pulls in) costs about a second
-    # and 50 MB at import; the package needs neither
+    @pytest.mark.parametrize("rate, n_total", [
+        (8, 12), (16, 41), (32, 20), (32, 73), (64, 100)])
+    def test_superpose_bits_match_scipy_signal(self, rate, n_total):
+        # the upsampled train and the 2 n_grid - 1 taps of waveform._superpose
+        signal = pytest.importorskip("scipy.signal")
+        p = pulses.PulseSpec("rc", 0.5)
+        n_grid = rate * n_total
+        up = np.zeros(n_grid)
+        up[::rate] = np.random.default_rng(rate).integers(0, 2, n_total)
+        taps = pulses.evaluate(p, np.arange(1 - n_grid, n_grid)
+                               * (p.ts / rate))
+        assert np.array_equal(link.fftconvolve(up, taps),
+                              signal.fftconvolve(up, taps, "same"))
+
+    def test_fast_len_is_the_smallest_5_smooth(self):
+        def smooth(m):
+            for f in (2, 3, 5):
+                while m % f == 0:
+                    m //= f
+            return m == 1
+
+        want = 1
+        for n in range(1, 5001):
+            while want < n or not smooth(want):
+                want += 1
+            assert link._fast_len(n) == want, n
+
+
+def test_import_loads_no_scipy():
+    # any part of scipy loads its array-API layer, about 0.3 s and 26 MB
+    # at import; the package needs none of it
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     code = ("import sys, imdd, imdd.cli; print(sorted(m for m in sys.modules"
-            " if m.split('.')[:2] in (['scipy', 'signal'],"
-            " ['scipy', 'stats'])))")
+            " if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src})
