@@ -409,8 +409,11 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     for name in ("a", "n0"):
         if name in args:
             link.require_nonnegative(f"--{name}", getattr(args, name))
-    if args.command == "ser" and args.n_symbols < link.MC_MIN_SYMBOLS:
-        raise DomainError(f"--n must be >= {link.MC_MIN_SYMBOLS}")
+    if args.command == "ser":
+        if args.n_symbols < link.MC_MIN_SYMBOLS:
+            raise DomainError(f"--n must be >= {link.MC_MIN_SYMBOLS}")
+        if args.target is not None and args.target < 1:
+            raise DomainError("--target must be >= 1")
     if args.command in ("waveform", "eye") and (
             len(args.pulse_set) > 1 or len(args.alphas) > 1
             or len(args.m_values) > 1):

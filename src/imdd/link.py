@@ -248,35 +248,49 @@ def amplitude_for_ser(cfg: LinkConfig, p_err: float) -> float:
     return 2.0 * math.sqrt(cfg.n0 * fe.noise) * arg / (c.delta_a * fe.h0)
 
 
+def _interval_errors(edges: np.ndarray, idx: np.ndarray,
+                     r: np.ndarray) -> int:
+    """Samples r[j] outside their own level's decision interval
+    (edges[idx[j]], edges[idx[j] + 1]]; for non-decreasing edges and
+    finite r this counts searchsorted(edges[1:-1], r, "left") != idx."""
+    inside = (r > edges[idx]) & (r <= edges[idx + 1])
+    return r.size - int(np.count_nonzero(inside))
+
+
 def monte_carlo_ser(cfg: LinkConfig, n_symbols: int,
                     target: int | None = None) -> SerEstimate:
     """Seeded Monte Carlo SER with midpoint-threshold (ML) detection.
 
     Symbols and noise are drawn per fixed-size internal chunk from spawned
     child seeds, so the merged estimate does not depend on how callers
-    batch their budget.  ``target`` optionally stops early once that many
-    symbol errors have accumulated (at chunk granularity).  Ties on a
-    threshold resolve to the lower symbol.
+    batch their budget.  ``target`` (>= 1) optionally stops early once that
+    many symbol errors have accumulated (at chunk granularity).  A sample
+    sent on level i is correct when it falls in (edges[i], edges[i + 1]],
+    with edges the midpoints between the noise-free levels and +-inf at
+    the ends; so a sample on a threshold goes to the lower symbol.
     """
     if n_symbols < MC_MIN_SYMBOLS:
         raise DomainError(f"n_symbols must be >= {MC_MIN_SYMBOLS}")
+    if target is not None and not target >= 1:
+        raise DomainError(f"target must be >= 1, not {target}")
     levels = np.asarray(cfg.constellation.levels)
     table = noise_free_levels(cfg)
-    thresholds = 0.5 * (table[:-1] + table[1:])
+    edges = np.concatenate(([-np.inf], 0.5 * (table[:-1] + table[1:]),
+                            [np.inf]))
     sigma = noise_sigma(cfg)
 
     n_chunks = math.ceil(n_symbols / MC_CHUNK)
     children = np.random.SeedSequence(cfg.seed).spawn(n_chunks)
     errors = 0
     consumed = 0
-    for i, child in enumerate(children):
+    for child in children:
         m = min(MC_CHUNK, n_symbols - consumed)
         rng = np.random.default_rng(child)
         idx = rng.integers(0, levels.size, size=m)
-        det = receiver_samples(cfg, levels[idx], noise=False)
-        r = det + rng.normal(0.0, sigma, size=m) if sigma > 0 else det
-        detected = np.searchsorted(thresholds, r, side="left")
-        errors += int(np.count_nonzero(detected != idx))
+        r = receiver_samples(cfg, levels[idx], noise=False)
+        if sigma > 0:
+            r += rng.normal(0.0, sigma, size=m)
+        errors += _interval_errors(edges, idx, r)
         consumed += m
         if target is not None and errors >= target:
             break

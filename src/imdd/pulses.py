@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -180,9 +181,11 @@ def evaluate(pulse: PulseSpec, t):
 # closed-form metadata (no numerics)
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1024)
 def metadata(pulse: PulseSpec) -> PulseMetadata:
     """Mean q_bar, peak q(0), bandwidth B*Ts, energy ratio Eq/Ts and the
-    Nyquist / root-Nyquist / nonnegative flags, all in closed form."""
+    Nyquist / root-Nyquist / nonnegative flags, all in closed form; cached
+    per spec, since the receiver model asks several times per chunk."""
     a = pulse.alpha
     half = (1.0 + a) / 2.0
     table = {

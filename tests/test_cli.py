@@ -326,6 +326,9 @@ class TestArgumentErrors:
         ("ser", "--n0", "-1",
          "--n0 must be finite and nonnegative, not -1.0"),
         ("ser", "--n", "100", "--n must be >= 10000"),
+        # a target below 1 would stop after the first chunk
+        ("ser", "--target", "0", "--target must be >= 1"),
+        ("ser", "--target", "-5", "--target must be >= 1"),
         # a bad run-wide setting is reported before eye's one-point check
         ("eye", "--a", "-1", "--a must be finite and nonnegative, not -1.0"),
     ])

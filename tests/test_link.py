@@ -5,9 +5,11 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from imdd import bias, gains, link, pulses, waveform
 from imdd.errors import DomainError, UnsupportedError
@@ -416,6 +418,141 @@ class TestMonteCarlo:
         est = link.monte_carlo_ser(cfg, 20_000)
         assert est.p_hat == 0.0
         assert est.p_analytic == 0.0
+
+
+def _searchsorted_ser(cfg, n_symbols, target=None):
+    """The chunk loop of monte_carlo_ser as it stood before the interval
+    rule: the same draws, decided with searchsorted over the thresholds."""
+    levels = np.asarray(cfg.constellation.levels)
+    table = link.noise_free_levels(cfg)
+    thresholds = 0.5 * (table[:-1] + table[1:])
+    sigma = link.noise_sigma(cfg)
+    children = np.random.SeedSequence(cfg.seed).spawn(
+        math.ceil(n_symbols / link.MC_CHUNK))
+    errors = consumed = 0
+    for child in children:
+        m = min(link.MC_CHUNK, n_symbols - consumed)
+        rng = np.random.default_rng(child)
+        idx = rng.integers(0, levels.size, size=m)
+        det = link.receiver_samples(cfg, levels[idx], noise=False)
+        r = det + rng.normal(0.0, sigma, size=m) if sigma > 0 else det
+        detected = np.searchsorted(thresholds, r, side="left")
+        errors += int(np.count_nonzero(detected != idx))
+        consumed += m
+        if target is not None and errors >= target:
+            break
+    p_hat = errors / consumed
+    p_tilde = min(max(p_hat, 0.5 / consumed), 1.0 - 0.5 / consumed)
+    ci95 = link.Z95 * math.sqrt(p_tilde * (1.0 - p_tilde) / consumed)
+    try:
+        p_an = link.analytic_ser(cfg)
+    except UnsupportedError:
+        p_an = math.nan
+    return link.SerEstimate(p_hat, consumed, ci95, p_an)
+
+
+# the ISI-free pairs of both receivers, and two allow_isi pairs
+MC_PAIRS = [("rc", "sampling", False), ("xia", "sampling", False),
+            ("s2", "sampling", False), ("rrc", "matched", False),
+            ("xia", "matched", False), ("rrc", "sampling", True),
+            ("pl", "matched", True)]
+
+
+@st.composite
+def _decisions(draw):
+    """Non-decreasing thresholds (equal ones too, as at a = 0), each
+    sample's level, and samples on, one ulp either side of and far
+    from the thresholds."""
+    start = draw(st.floats(-1e3, 1e3))
+    gaps = draw(st.lists(st.sampled_from([0.0, 1e-9, 0.5, 1.0, 7.0]),
+                         min_size=1, max_size=7))
+    thresholds = start + np.cumsum([0.0, *gaps[1:]])
+    n = draw(st.integers(1, 64))
+    idx = draw(st.lists(st.integers(0, thresholds.size),
+                        min_size=n, max_size=n))
+    spots = draw(st.lists(
+        st.tuples(st.integers(0, thresholds.size - 1),
+                  st.sampled_from(["on", "below", "above", "far below",
+                                   "far above"])),
+        min_size=n, max_size=n))
+    r = []
+    for j, where in spots:
+        t = thresholds[j]
+        r.append({"on": t, "below": np.nextafter(t, -np.inf),
+                  "above": np.nextafter(t, np.inf),
+                  "far below": t - 1e4, "far above": t + 1e4}[where])
+    return thresholds, np.array(idx), np.array(r)
+
+
+class TestIntervalDecisions:
+    """The interval rule against the searchsorted loop it replaced."""
+
+    @pytest.mark.parametrize("family, receiver, allow_isi", MC_PAIRS)
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    def test_same_estimate_as_searchsorted(self, family, receiver,
+                                           allow_isi, m):
+        base = link.LinkConfig(pulses.PulseSpec(family, 0.5),
+                               bias.Constellation.pam(m), receiver,
+                               seed=m, allow_isi=allow_isi)
+        cfg = replace(base, a=link.amplitude_for_ser(base, 0.05))
+        # a partial last chunk
+        n = link.MC_CHUNK + 5_000
+        got = link.monte_carlo_ser(cfg, n)
+        assert got == _searchsorted_ser(cfg, n)
+        assert 0.0 < got.p_hat < 1.0 and got.n_symbols == n
+
+    @pytest.mark.parametrize("family, receiver, allow_isi", MC_PAIRS)
+    @pytest.mark.parametrize("change", [
+        {"a": 0.0}, {"n0": 0.0}, {"target": 60}], ids=["a0", "n0", "target"])
+    def test_same_estimate_at_the_edges(self, family, receiver, allow_isi,
+                                        change):
+        change = dict(change)
+        target = change.pop("target", None)
+        base = link.LinkConfig(pulses.PulseSpec(family, 0.5),
+                               bias.Constellation.pam(4), receiver, seed=9,
+                               allow_isi=allow_isi)
+        # about 33 errors a chunk, so a target of 60 stops after two
+        cfg = replace(base, **{"a": link.amplitude_for_ser(base, 2e-3),
+                               **change})
+        n = 5 * link.MC_CHUNK
+        got = link.monte_carlo_ser(cfg, n, target)
+        assert got == _searchsorted_ser(cfg, n, target)
+        if target is not None:
+            assert got.n_symbols < n
+            assert got.p_hat * got.n_symbols >= target
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_decisions())
+    def test_ties_go_to_the_lower_symbol(self, case):
+        thresholds, idx, r = case
+        edges = np.concatenate(([-np.inf], thresholds, [np.inf]))
+        want = np.count_nonzero(
+            np.searchsorted(thresholds, r, side="left") != idx)
+        assert link._interval_errors(edges, idx, r) == want
+
+    def test_chunks_reach_the_module_attributes(self, monkeypatch):
+        # a tracer wraps link.receiver_samples and link.fftconvolve by
+        # name; the Monte Carlo loop must call both once per chunk
+        calls = {"receiver_samples": 0, "fftconvolve": 0}
+
+        def counted(name):
+            orig = getattr(link, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return orig(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(link, name, counted(name))
+        link.monte_carlo_ser(cfg_rc(a=2.0), 3 * link.MC_CHUNK)
+        assert calls == {"receiver_samples": 3, "fftconvolve": 3}
+
+    @pytest.mark.parametrize("target", [0, -5, 0.5])
+    def test_target_below_one_is_refused(self, target):
+        # it would stop after the first chunk whatever the budget
+        with pytest.raises(DomainError, match="target must be >= 1"):
+            link.monte_carlo_ser(cfg_rc(), 200_000, target)
 
 
 class TestFftconvolve:
