@@ -13,7 +13,9 @@ and non-resonance alike.
 
 The only pulse-train fold summed numerically is the negative part
 N(t) = sum_j max(-q(t - j ts), 0): the signed fold has a closed form by
-Poisson summation (see ``bias``), and sum |q| = sum q + 2 N.
+Poisson summation (see ``bias``), and sum |q| = sum q + 2 N.  The fold's
+blocks of ``chunk_elems`` values fix its rounding; its pieces of at most
+``EVAL_CHUNK_ELEMS`` values bound its memory and change no bit.
 ``folded_pair`` keeps the name it had when it returned the pair
 (sum |q|, sum q), since the benchmark's tracer wraps it by that name.
 """
@@ -32,9 +34,9 @@ LATTICE_CAP = 20_000_000   # hard cap on lattice points (memory bound)
 # test suite): measured post-step errors sit 8-30x below this model, so the
 # budget it yields keeps a comfortable safety margin without overpaying.
 ACCEL_GAIN = 16.0
-# Pulse values evaluated per call in a fold; small enough that the
-# evaluation's temporaries stay in cache instead of being paged in afresh.
-EVAL_CHUNK_ELEMS = 1 << 16
+# Pulse values per piece of a fold: 64 KiB temporaries are reused from the
+# heap instead of being mapped afresh.
+EVAL_CHUNK_ELEMS = 1 << 13
 
 
 def raw_tail_bound(p: float, coef: float, k: float) -> float:
@@ -86,16 +88,15 @@ def folded_pair(eval_fn, ts: float, t, k: int, decay: float,
     """Tail-accelerated negative-part fold sum max(-q, 0) over shifts
     t - j*ts, |j| <= k.
 
-    ``eval_fn`` maps time arrays to pulse values.  Shifts are summed in
-    blocks of ``chunk_elems`` values, which fixes the rounding of the sum;
-    each block is evaluated in cache-sized pieces of ``EVAL_CHUNK_ELEMS``
-    into one reused buffer, which changes no value.  Returns an array
-    shaped like ``t``.
+    ``eval_fn`` maps time arrays to pulse values.  Each block of
+    ``chunk_elems`` shifts is built and reduced in pieces, in numpy's order
+    for the whole block: row by row over a grid of t, so each piece adds
+    the running sum into its first row; pairwise at one t, split as numpy
+    splits (halves rounded down to a multiple of 8) into leaves no smaller
+    than its 128-value base case.  Returns an array shaped like ``t``.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    k = int(k)
-    if k % 2:
-        k += 1
+    k = int(k) + int(k) % 2
     half = k // 2
 
     core = np.zeros_like(t)
@@ -103,18 +104,29 @@ def folded_pair(eval_fn, ts: float, t, k: int, decay: float,
 
     block = max(1, chunk_elems // max(1, t.size))
     piece = max(1, EVAL_CHUNK_ELEMS // max(1, t.size))
-    buf = np.empty((min(block, k + 1), t.size))
+
+    def terms(lo, n):
+        x = t[None, :] - np.arange(lo, lo + n, dtype=float)[:, None] * ts
+        return np.maximum(np.negative(eval_fn(x), dtype=float), 0.0)
+
+    def pairwise(lo, n):
+        if n <= max(piece, 128):
+            return terms(lo, n).sum(axis=0)
+        m = n // 2 - n // 2 % 8
+        return pairwise(lo, m) + pairwise(lo + m, n - m)
 
     def accumulate(j_lo, j_hi, acc):
         for lo in range(j_lo, j_hi + 1, block):
-            hi = min(lo + block - 1, j_hi)
-            shifts = np.arange(lo, hi + 1, dtype=float) * ts
-            vals = buf[:len(shifts)]
-            for p0 in range(0, len(shifts), piece):
-                vals[p0:p0 + piece] = eval_fn(
-                    t[None, :] - shifts[p0:p0 + piece, None])
-            np.negative(vals, out=vals)
-            acc += np.maximum(vals, 0.0, out=vals).sum(axis=0)
+            n = min(block, j_hi + 1 - lo)
+            if t.size == 1:
+                acc += pairwise(lo, n)
+                continue
+            run = 0.0
+            for p0 in range(lo, lo + n, piece):
+                vals = terms(p0, min(piece, lo + n - p0))
+                vals[0] += run
+                run = vals.sum(axis=0)
+            acc += run
 
     accumulate(-half, half, core)
     accumulate(-k, -half - 1, wing)

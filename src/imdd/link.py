@@ -50,6 +50,12 @@ def require_nonnegative(name: str, value: float) -> None:
                           f"not {value}")
 
 
+def require_positive(name: str, value: float) -> None:
+    """Raise ``DomainError`` unless ``value`` is finite and > 0."""
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} must be finite and positive, not {value}")
+
+
 class FrontEnd(NamedTuple):
     """A receiver's response to a unit-gain signal (see the module notes)."""
 
@@ -113,6 +119,7 @@ class LinkConfig:
     def __post_init__(self):
         require_nonnegative("amplitude a", self.a)
         require_nonnegative("n0", self.n0)
+        require_positive("gain", self.gain)
         front_end(self.pulse, self.receiver, self.allow_isi)
 
 
@@ -196,7 +203,9 @@ def receiver_samples(cfg: LinkConfig, symbols, *, noise: bool = True,
     deviation noise_sigma(cfg) are added."""
     symbols = np.asarray(symbols, dtype=float)
     dc, gain, h = _taps(cfg)
-    det = gain * (dc + fftconvolve(symbols, h))
+    det = fftconvolve(symbols, h)  # fresh, so dc and gain go in in place
+    det += dc
+    det *= gain
     if not noise:
         return det
     if rng is None:
@@ -253,7 +262,7 @@ def _interval_errors(edges: np.ndarray, idx: np.ndarray,
     """Samples r[j] outside their own level's decision interval
     (edges[idx[j]], edges[idx[j] + 1]]; for non-decreasing edges and
     finite r this counts searchsorted(edges[1:-1], r, "left") != idx."""
-    inside = (r > edges[idx]) & (r <= edges[idx + 1])
+    inside = (r > edges[idx]) & (r <= edges[1:][idx])
     return r.size - int(np.count_nonzero(inside))
 
 

@@ -177,6 +177,7 @@ def eye_diagram(pulse: pulses.PulseSpec, constellation: _bias.Constellation,
     if n_traces < 1:
         raise DomainError("n_traces must be >= 1")
     link.require_nonnegative("amplitude a", a)
+    link.require_positive("gain", gain)
     fe = link.front_end(pulse, receiver)
 
     mu = _bias.required_bias(pulse, constellation).mu

@@ -372,3 +372,80 @@ def test_pl_bias_reaches_the_exact_fold(alpha):
                                        rel=0, abs=1e-15)
     mu = bias.required_bias(pulses.PulseSpec("pl", alpha), OOK).mu
     assert mu >= oracle - bias.DEFAULT_TAIL_TOL
+
+
+def _partial_fold(pulse, t, k):
+    """Plain partial sum of max(-q(t - j ts), 0) over |j| <= k, in slices
+    of about 200,000 terms.  Every term is >= 0, so it is a lower bound on
+    the fold N(t) whatever k is; it uses neither imdd.bias nor _series."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    total = np.zeros(t.size)
+    step = max(1, 200_000 // t.size)
+    for lo in range(-k, k + 1, step):
+        j = np.arange(lo, min(lo + step, k + 1))
+        q = pulses.evaluate(pulse, t[:, None] - j * pulse.ts)
+        total += np.maximum(-q, 0.0).sum(axis=1)
+    return total
+
+
+def _golden_argmax(f, a, b, tol):
+    """Golden-section search for a maximum of f on [a, b]."""
+    g = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            fd = f(d)
+    return c if fc >= fd else d
+
+
+def _partial_sum_bias(pulse, k_final):
+    """A lower bound on the OOK bias max_t N(t) of an even pulse: the three
+    best local maxima of a 257-point grid over [0, ts/2] at K = 2000, each
+    refined by golden section at K = 20,000, and the winner summed once at
+    K = k_final."""
+    grid = np.linspace(0.0, 0.5 * pulse.ts, 257)
+    vals = _partial_fold(pulse, grid, 2000)
+    padded = np.r_[-np.inf, vals, -np.inf]
+    peaks = np.flatnonzero((vals >= padded[:-2]) & (vals >= padded[2:]))
+    step = grid[1] - grid[0]
+
+    def fold(t):
+        return float(_partial_fold(pulse, np.clip(t, grid[0], grid[-1]),
+                                   20_000)[0])
+
+    best = max((fold(t), t) for t in (
+        _golden_argmax(fold, grid[i] - step, grid[i] + step, 1e-6)
+        for i in peaks[np.argsort(vals[peaks])[-3:]]))[1]
+    return float(_partial_fold(pulse, np.clip(best, grid[0], grid[-1]),
+                               k_final)[0])
+
+
+# The coarse stage's [:6] cap drops btn 0.965's winning basin (ROADMAP
+# item 1).  poly's maximum sits at t = ts/2, which the search finds, so the
+# poly misses lie in the fold's tail model, which falls short of tail_tol.
+_BASIN_MISS = pytest.mark.xfail(
+    strict=True, reason="bias search drops btn's winning basin")
+_TAIL_MISS = pytest.mark.xfail(
+    strict=True, reason="poly's fold tail model misses tail_tol near 1")
+
+
+@pytest.mark.parametrize("family,alpha", [
+    pytest.param("btn", 0.965, marks=_BASIN_MISS), ("btn", 0.9),
+    ("btn", 0.99), ("rrc", 0.9), ("rrc", 0.99), ("poly", 0.95),
+    pytest.param("poly", 0.99, marks=_TAIL_MISS),
+    pytest.param("poly", 0.995, marks=_TAIL_MISS)])
+def test_bias_reaches_a_partial_sum_lower_bound(family, alpha):
+    # a plain partial sum at K = 10^6 (2*10^4 for poly's 1/t^4 tail, whose
+    # rest is far below tail_tol) bounds N from below, so the solver's mu
+    # may fall short of it by tail_tol at most
+    pulse = pulses.PulseSpec(family, alpha)
+    bound = _partial_sum_bias(pulse, 20_000 if family == "poly" else 10**6)
+    mu = bias.required_bias(pulse, OOK).mu
+    assert mu >= bound - bias.DEFAULT_TAIL_TOL

@@ -50,6 +50,12 @@ class TestConfigValidation:
         with pytest.raises(DomainError, match="finite and nonnegative"):
             cfg_rc(**{field: value})
 
+    @pytest.mark.parametrize("gain", [-1.0, 0.0, math.nan, math.inf])
+    def test_gain_finite_and_positive(self, gain):
+        # a gain <= 0 or NaN leaves every decision interval empty (p = 1)
+        with pytest.raises(DomainError, match="gain must be finite and pos"):
+            cfg_rc(gain=gain)
+
     def test_isi_guards(self):
         # root-only pulse on the sampling receiver
         with pytest.raises(DomainError):

@@ -6,6 +6,7 @@ tolerances being asserted by using a much larger half-width.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,46 @@ def brute_fold(pulse, t, half_width):
     j = np.arange(-half_width, half_width + 1)
     vals = pulses.evaluate(pulse, t - j * pulse.ts)
     return np.sum(np.maximum(-vals, 0.0))
+
+
+def block_buffer_fold(eval_fn, ts, t, k, decay, chunk_elems=8_000_000):
+    """Reference fold: each block of ``chunk_elems`` shifts is evaluated
+    into one block-sized buffer and reduced by a single numpy sum.  Its
+    bits are the ones ``folded_pair``'s pieces must keep."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    k = int(k)
+    if k % 2:
+        k += 1
+    half = k // 2
+
+    core = np.zeros_like(t)
+    wing = np.zeros_like(t)
+
+    block = max(1, chunk_elems // max(1, t.size))
+    piece = max(1, (1 << 16) // max(1, t.size))
+    buf = np.empty((min(block, k + 1), t.size))
+
+    def accumulate(j_lo, j_hi, acc):
+        for lo in range(j_lo, j_hi + 1, block):
+            hi = min(lo + block - 1, j_hi)
+            shifts = np.arange(lo, hi + 1, dtype=float) * ts
+            vals = buf[:len(shifts)]
+            for p0 in range(0, len(shifts), piece):
+                vals[p0:p0 + piece] = eval_fn(
+                    t[None, :] - shifts[p0:p0 + piece, None])
+            np.negative(vals, out=vals)
+            acc += np.maximum(vals, 0.0, out=vals).sum(axis=0)
+
+    accumulate(-half, half, core)
+    accumulate(-k, -half - 1, wing)
+    accumulate(half + 1, k, wing)
+    return _series.extrapolate(core, wing, decay)
+
+
+def everywhere_negative(x):
+    """Negative at every shift, with magnitudes spread over 1e-4..1e4, so
+    every term counts and the order of the sum shows in its bits."""
+    return -(1.0 + np.abs(np.sin(3.7 * x)) * 10.0 ** (4.0 * np.cos(1.3 * x)))
 
 
 class TestBudget:
@@ -132,6 +173,48 @@ class TestFoldedPair:
         monkeypatch.setattr(_series, "EVAL_CHUNK_ELEMS", 37)
         pieces = _series.folded_pair(fn, 1.0, t, 2048, 1.0, chunk_elems=9000)
         np.testing.assert_array_equal(pieces, whole)
+
+
+    @pytest.mark.parametrize("eval_fn", [
+        everywhere_negative,
+        lambda x: pulses.evaluate(pulses.PulseSpec("btn", 0.3), x)],
+        ids=["negative", "btn"])
+    @pytest.mark.parametrize("t,k,small_chunk", [
+        ([0.3], 10_001, 3_000), ([0.3], 10_000, 3_000),
+        (np.linspace(0.0, 0.5, 2049), 161, 2049 * 50),
+        (np.linspace(0.0, 0.5, 2049), 200, 2049 * 50)],
+        ids=["one-t-odd-k", "one-t-even-k", "grid-odd-k", "grid-even-k"])
+    @pytest.mark.parametrize("chunked", [False, True],
+                             ids=["one-block", "blocks"])
+    def test_pieces_keep_the_block_buffer_bits(self, monkeypatch, eval_fn,
+                                               t, k, small_chunk, chunked):
+        # every piece size, including ones below numpy's 128-value pairwise
+        # block and ones that split a grid's rows one at a time, must give
+        # the bits of the block-buffer fold; the small chunk makes k span
+        # several blocks
+        chunk = small_chunk if chunked else 8_000_000
+        ref = block_buffer_fold(eval_fn, 1.0, t, k, 1.0, chunk_elems=chunk)
+        for elems in (37, 128, 1 << 13):
+            monkeypatch.setattr(_series, "EVAL_CHUNK_ELEMS", elems)
+            got = _series.folded_pair(eval_fn, 1.0, t, k, 1.0,
+                                      chunk_elems=chunk)
+            np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("t,k", [
+        ([0.3], 723_816), (np.linspace(0.0, 0.5, 2049), 724)],
+        ids=["one-t", "grid"])
+    def test_peak_memory_is_bounded(self, t, k):
+        # numpy reports its buffers to tracemalloc; a block-sized buffer of
+        # shifted pulse values would take about 15 MiB for either fold
+        pulse = pulses.PulseSpec("btn", 0.01)
+        tracemalloc.start()
+        try:
+            _series.folded_pair(lambda x: pulses.evaluate(pulse, x),
+                                pulse.ts, t, k, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
 
 
 class TestGoldenMax:

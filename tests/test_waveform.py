@@ -280,6 +280,11 @@ class TestEyeDiagram:
         with pytest.raises(DomainError, match="finite and nonnegative"):
             waveform.eye_diagram(RC6, OOK, n_traces=4, a=a)
 
+    @pytest.mark.parametrize("gain", [-1.0, 0.0, np.nan, np.inf])
+    def test_gain_finite_and_positive(self, gain):
+        with pytest.raises(DomainError, match="gain must be finite and pos"):
+            waveform.eye_diagram(RC6, OOK, n_traces=4, gain=gain)
+
     def test_trace_count_validation(self):
         with pytest.raises(DomainError):
             waveform.eye_diagram(RC6, OOK, n_traces=0)
