@@ -29,7 +29,6 @@ import numpy as np
 from .errors import DomainError, NumericalDivergenceError
 
 K_CAP = 1_000_000          # hard cap on the fold half-width
-LATTICE_CAP = 20_000_000   # hard cap on lattice points (memory bound)
 # Calibrated against brute-force partial sums over all nine families (see
 # test suite): measured post-step errors sit 8-30x below this model, so the
 # budget it yields keeps a comfortable safety margin without overpaying.
@@ -58,23 +57,6 @@ def k_for_tol(p: float, coef: float, u0: float, tol: float) -> int:
             f"the pulse tail (decay {p:g}, coef {coef:g}) is too slow — "
             f"alpha is likely too small for this accuracy")
     return k
-
-
-def lattice_cut(p: float, coef: float, tol: float, rate: int) -> float:
-    """Truncation range (units of ts) for a lattice integral with the same
-    accelerated-error model; the raw tail of the integral beyond u is
-    ~ 2 coef u^(1-p)/(p-1), and acceleration divides it by ~(u*rate)."""
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    u = (2.0 * coef * ACCEL_GAIN / ((p - 1.0) * tol * rate)) ** (1.0 / p)
-    return max(u, 8.0)
-
-
-def check_lattice_size(m_full: int):
-    if 2 * m_full + 1 > LATTICE_CAP:
-        raise NumericalDivergenceError(
-            f"lattice sum needs {2 * m_full + 1} points > cap {LATTICE_CAP}; "
-            "tolerance too tight for this pulse tail")
 
 
 def extrapolate(core, wing, decay: float):

@@ -193,7 +193,7 @@ def _run_ser(cfg: argparse.Namespace, t0: float) -> int:
         lc = link.LinkConfig(
             pulse=pulses.PulseSpec(family, alpha, cfg.ts),
             constellation=bias.Constellation.pam(m), receiver=receiver,
-            a=cfg.a, n0=cfg.n0, seed=cfg.seed, allow_isi=cfg.allow_isi)
+            a=cfg.a, n0=cfg.n0, seed=cfg.seed)
         est = link.monte_carlo_ser(lc, cfg.n_symbols, cfg.target)
         return (family, alpha, m, receiver, cfg.a, cfg.n0, est.p_analytic,
                 est.p_hat, est.ci95, est.n_symbols)
@@ -370,7 +370,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=100_000, dest="n_symbols")
     p.add_argument("--target", type=int, default=None,
                    help="stop once this many symbol errors are seen")
-    p.add_argument("--allow-isi", action="store_true")
 
     p = sub.add_parser("gain", parents=[common],
                        help="optical power gain curves")
@@ -409,11 +408,15 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     for name in ("a", "n0"):
         if name in args:
             link.require_nonnegative(f"--{name}", getattr(args, name))
+    if args.seed < 0:
+        raise DomainError("--seed must be >= 0")
     if args.command == "ser":
         if args.n_symbols < link.MC_MIN_SYMBOLS:
             raise DomainError(f"--n must be >= {link.MC_MIN_SYMBOLS}")
         if args.target is not None and args.target < 1:
             raise DomainError("--target must be >= 1")
+    if args.command == "waveform" and args.n_symbols < 1:
+        raise DomainError("--n must be >= 1")
     if args.command in ("waveform", "eye") and (
             len(args.pulse_set) > 1 or len(args.alphas) > 1
             or len(args.m_values) > 1):

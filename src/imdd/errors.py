@@ -14,6 +14,6 @@ class UnsupportedError(DomainError):
 
 
 class NumericalDivergenceError(ImddError, RuntimeError):
-    """A truncated series/lattice sum cannot meet its tolerance within the
-    hard term cap.  In practice this signals a roll-off too close to zero
-    for the requested accuracy."""
+    """A truncated series cannot meet its tolerance within the hard term
+    cap.  In practice this signals a roll-off too close to zero for the
+    requested accuracy."""

@@ -2,8 +2,8 @@
 
 Both receivers share one symbol-rate model.  ``front_end`` says what a
 receiver makes of a unit-gain signal: its response h, the output dc of a
-unit bias, h(0), the noise variance per unit N0 and whether h vanishes at
-every k ts != 0.  The noise-free output at t = i ts is then
+unit bias, h(0) and the noise variance per unit N0.  The noise-free output
+at t = i ts is then
 
     r_i = A gain (mu dc + sum_k a_{i-k} h(k ts))
 
@@ -17,9 +17,7 @@ The scheme pairs Nyquist pulses with the sampling receiver and
 root-Nyquist pulses with the matched one; for such a pair h(k ts) = 0 at
 k != 0 and a single tap remains (rho(0) = Eq, since for ``rrc`` and
 ``xia`` rho is Eq times the raised cosine, Xia 1997).  Any other pair has
-ISI and is refused unless ``allow_isi`` is set; it then keeps the taps
-over |k| <= ``pulses.effective_guard`` symbols, beyond which the pulse
-envelope is below its fixed floor, and drops the ISI tail past that window.
+ISI and is refused.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -63,49 +60,34 @@ class FrontEnd(NamedTuple):
     dc: float              # output of a unit bias
     h0: float              # h(0)
     noise: float           # noise variance per unit N0
-    isi_free: bool         # h(k ts) = 0 for every k != 0
 
 
-@lru_cache(maxsize=256)
-def _energy(pulse: pulses.PulseSpec) -> float:
-    """Eq, in closed form for the root-Nyquist pulses; a lattice sum
-    otherwise, cached since the Monte Carlo loop asks once per chunk."""
-    meta = pulses.metadata(pulse)
-    if meta.energy_ratio is not None:
-        return meta.energy_ratio * pulse.ts
-    return pulses.energy(pulse, tol=1e-9)
-
-
-def front_end(pulse: pulses.PulseSpec, receiver: str,
-              allow_isi: bool = False) -> FrontEnd:
+def front_end(pulse: pulses.PulseSpec, receiver: str) -> FrontEnd:
     """The receiver model: Nyquist pulses go to the sampling receiver and
     root-Nyquist pulses to the matched filter.  Any other pair has ISI and
-    raises ``UnsupportedError`` unless ``allow_isi`` is set."""
+    raises ``UnsupportedError``."""
     if receiver not in RECEIVERS:
         raise DomainError(f"receiver must be one of {RECEIVERS}")
     meta = pulses.metadata(pulse)
     sampling = receiver == "sampling"
-    isi_free = meta.is_nyquist if sampling else meta.is_root_nyquist
-    if not (isi_free or allow_isi):
+    if not (meta.is_nyquist if sampling else meta.is_root_nyquist):
         kind = "a Nyquist" if sampling else "a root-Nyquist"
         raise UnsupportedError(
             f"{pulse.family} is not {kind} pulse; the {receiver} receiver "
-            "would see ISI (set allow_isi to override)")
+            "would see ISI")
     if sampling:
         return FrontEnd(pulses.evaluate, 1.0, meta.q_zero,
-                        meta.b_ts / pulse.ts, isi_free)
-    eq = _energy(pulse)
+                        meta.b_ts / pulse.ts)
+    eq = meta.energy_ratio * pulse.ts
     return FrontEnd(pulses.autocorrelation, meta.q_bar * pulse.ts, eq,
-                    eq / 2.0, isi_free)
+                    eq / 2.0)
 
 
 @dataclass(frozen=True)
 class LinkConfig:
     """One receiver chain: pulse, constellation, receiver kind, amplitude,
     noise density and the receiver's gain (G0 of the sampling front end or
-    zeta of the matched filter).  ``allow_isi`` permits deliberately
-    mismatched pulse/receiver pairs (the ISI-free sample contracts are then
-    void)."""
+    zeta of the matched filter)."""
 
     pulse: pulses.PulseSpec
     constellation: _bias.Constellation
@@ -114,13 +96,12 @@ class LinkConfig:
     n0: float = 1.0
     gain: float = 1.0
     seed: int = 0
-    allow_isi: bool = False
 
     def __post_init__(self):
         require_nonnegative("amplitude a", self.a)
         require_nonnegative("n0", self.n0)
         require_positive("gain", self.gain)
-        front_end(self.pulse, self.receiver, self.allow_isi)
+        front_end(self.pulse, self.receiver)
 
 
 @dataclass(frozen=True)
@@ -135,7 +116,7 @@ class SerEstimate:
 
 
 def _front_end(cfg: LinkConfig) -> FrontEnd:
-    return front_end(cfg.pulse, cfg.receiver, cfg.allow_isi)
+    return front_end(cfg.pulse, cfg.receiver)
 
 
 def noise_sigma(cfg: LinkConfig) -> float:
@@ -155,12 +136,11 @@ def noise_free_levels(cfg: LinkConfig) -> np.ndarray:
 
 
 def _taps(cfg: LinkConfig) -> tuple[float, float, np.ndarray]:
-    """(dc, gain, h) of the symbol-rate model; h is centred on k = 0."""
+    """(dc, gain, h) of the symbol-rate model: the taps vanish at k != 0,
+    so h is the single tap [q(0)] or [Eq]."""
     fe = _front_end(cfg)
-    # an ISI-free pair's taps vanish at k != 0: h = [q(0)] or [Eq]
-    w = 0 if fe.isi_free else pulses.effective_guard(cfg.pulse)
     return (_required_mu(cfg) * fe.dc, cfg.a * cfg.gain,
-            fe.response(cfg.pulse, np.arange(-w, w + 1) * cfg.pulse.ts))
+            fe.response(cfg.pulse, [0.0]))
 
 
 def _fast_len(n: int) -> int:

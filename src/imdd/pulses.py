@@ -8,11 +8,9 @@ the sum-of-two-sincs pulse of Seo-Dong-Jung (``sdj``), root raised cosine
 duration ``ts`` and use the engineering sinc convention
 ``sinc(x) = sin(pi x)/(pi x)`` (numpy's ``np.sinc``).
 
-Spectral quantities (Fourier transform values, energy, autocorrelation) are
-computed from uniformly sampled lattice sums: every family here is strictly
-bandlimited, so for a fine enough lattice the sum equals the integral exactly
-(Poisson summation) and the only error is tail truncation, which is bounded
-by per-family decay envelopes and accelerated by Richardson extrapolation.
+The one spectral quantity the package needs is the autocorrelation of the
+root-Nyquist pulses, which the matched receiver samples; it has a closed
+form (``autocorrelation``).
 """
 
 from __future__ import annotations
@@ -23,8 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import _series
-from .errors import DomainError
+from .errors import DomainError, UnsupportedError
 
 ALPHA_MIN = 0.01
 
@@ -237,117 +234,14 @@ def effective_guard(pulse: PulseSpec) -> int:
     return max(MIN_GUARD, int(math.ceil(u_eff)))
 
 
-# ---------------------------------------------------------------------------
-# spectral diagnostics via exact bandlimited lattice sums
-# ---------------------------------------------------------------------------
-
-def _lattice(pulse: PulseSpec, rate: int, tol: float, p_eff: float,
-             coef_eff: float, u_pad: float = 0.0):
-    """Sample times (seconds) for a lattice sum whose truncation error,
-    after one Richardson step, is modeled below ``tol`` (relative to ts).
-
-    Returns (times, m_half) where times covers |m| <= m_full and m_half
-    marks the inner partial sum used for extrapolation.
-    """
-    u_cut = _series.lattice_cut(p_eff, coef_eff, tol, rate) + u_pad
-    m_full = max(int(math.ceil(u_cut * rate)), 8 * rate)
-    if m_full % 2:
-        m_full += 1
-    _series.check_lattice_size(m_full)
-    m_half = m_full // 2
-    m = np.arange(-m_full, m_full + 1)
-    return m * (pulse.ts / rate), m_half
-
-
-def spectrum_at(pulse: PulseSpec, omega: float, tol: float = 1e-9) -> complex:
-    """Fourier transform Q(omega) = Int q(t) exp(-j omega t) dt.
-
-    Absolute error <= tol*ts.  The integrand is bandlimited, so a lattice
-    with 2*pi/stride beyond |omega| + 2*pi*B makes the sampled sum exact up
-    to tail truncation.
-    """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    meta = metadata(pulse)
-    p, coef, _ = tail_envelope(pulse)
-    # strict Nyquist condition for the modulated integrand, with margin
-    rate = int(math.ceil((abs(omega) * pulse.ts / (2.0 * np.pi)
-                          + meta.b_ts) * 1.05)) + 4
-    times, m_half = _lattice(pulse, rate, tol, p, coef)
-    vals = evaluate(pulse, times) * np.exp(-1j * omega * times)
-    n = len(times) // 2  # index of m = 0
-    inner = slice(n - m_half, n + m_half + 1)
-    core = vals[inner].sum()
-    wing = vals.sum() - core
-    return complex(_series.extrapolate(core, wing, p - 1.0)
-                   * (pulse.ts / rate))
-
-
-def energy(pulse: PulseSpec, tol: float = 1e-9) -> float:
-    """Pulse energy Int q(t)^2 dt, absolute error <= tol*ts."""
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    meta = metadata(pulse)
-    p, coef, _ = tail_envelope(pulse)
-    rate = max(8, int(math.ceil(2.0 * meta.b_ts * 1.05)) + 2)
-    times, m_half = _lattice(pulse, rate, tol, 2.0 * p, coef * coef)
-    vals = evaluate(pulse, times) ** 2
-    n = len(times) // 2
-    core = vals[n - m_half:n + m_half + 1].sum()
-    wing = vals.sum() - core
-    return float(_series.extrapolate(core, wing, 2.0 * p - 1.0)
-                 * (pulse.ts / rate))
-
-
-def autocorrelation(pulse: PulseSpec, tau, tol: float = 1e-9):
+def autocorrelation(pulse: PulseSpec, tau):
     """Autocorrelation rho(tau) = Int q(t) q(t - tau) dt for scalar or array
-    ``tau``; absolute error <= tol*ts per point.
-
-    For the root-Nyquist families (``rrc``, ``xia``) rho is the pulse energy
-    times the raised cosine of the same roll-off (Xia 1997), returned in
-    closed form; every other family goes through the lattice sum.
-    """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    ``tau``, in closed form: for the root-Nyquist families (``rrc``,
+    ``xia``) rho is the pulse energy Eq times the raised cosine of the same
+    roll-off (Xia 1997).  Any other family raises ``UnsupportedError``."""
     meta = metadata(pulse)
-    if meta.is_root_nyquist:
-        rc = PulseSpec("rc", pulse.alpha, pulse.ts)
-        return meta.energy_ratio * pulse.ts * evaluate(rc, tau)
-    return lattice_autocorrelation(pulse, tau, tol)
-
-
-def lattice_autocorrelation(pulse: PulseSpec, tau, tol: float = 1e-9):
-    """Autocorrelation of any family by the exact bandlimited lattice sum of
-    q(t) q(t - tau); absolute error <= tol*ts per point."""
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
-    scalar = np.ndim(tau) == 0
-    meta = metadata(pulse)
-    p, coef, u0 = tail_envelope(pulse)
-    rate = max(8, int(math.ceil(2.0 * meta.b_ts * 1.05)) + 2)
-    u_pad = np.max(np.abs(tau_arr)) / pulse.ts + u0
-    times, m_half = _lattice(pulse, rate, tol, 2.0 * p, coef * coef,
-                             u_pad=u_pad)
-    q0 = evaluate(pulse, times)
-    # (m, tau) product lattice; memory-chunk over tau when large
-    out = np.empty(len(tau_arr))
-    n = len(times) // 2
-    chunk = max(1, int(4e6 // len(times)))
-    for lo in range(0, len(tau_arr), chunk):
-        tt = tau_arr[lo:lo + chunk]
-        prod = q0[None, :] * evaluate(pulse, times[None, :] - tt[:, None])
-        core = prod[:, n - m_half:n + m_half + 1].sum(axis=1)
-        wing = prod.sum(axis=1) - core
-        out[lo:lo + chunk] = _series.extrapolate(core, wing, 2.0 * p - 1.0) \
-            * (pulse.ts / rate)
-    return float(out[0]) if scalar else out
-
-
-def nyquist_residual(pulse: PulseSpec, k_max: int = 20) -> float:
-    """max |q(k*ts)| over k = 1..k_max; ~0 certifies the zero-ISI property."""
-    if k_max < 1:
-        raise DomainError("k_max must be >= 1")
-    k = np.arange(1, k_max + 1, dtype=float)
-    lags = np.concatenate([-k[::-1], k]) * pulse.ts
-    return float(np.max(np.abs(evaluate(pulse, lags))))
+    if not meta.is_root_nyquist:
+        raise UnsupportedError(f"{pulse.family} is not a root-Nyquist pulse; "
+                               "its autocorrelation has no closed form here")
+    rc = PulseSpec("rc", pulse.alpha, pulse.ts)
+    return meta.energy_ratio * pulse.ts * evaluate(rc, tau)

@@ -176,6 +176,8 @@ def eye_diagram(pulse: pulses.PulseSpec, constellation: _bias.Constellation,
     """
     if n_traces < 1:
         raise DomainError("n_traces must be >= 1")
+    if rate < 1:
+        raise DomainError("rate must be >= 1")
     link.require_nonnegative("amplitude a", a)
     link.require_positive("gain", gain)
     fe = link.front_end(pulse, receiver)

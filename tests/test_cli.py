@@ -247,6 +247,14 @@ class TestEyeCommand:
         lines = read_lines(out)
         assert any(ln.startswith("# receiver=matched") for ln in lines)
 
+    @pytest.mark.parametrize("rate", ["0", "-1"])
+    def test_rate_below_one_exits_2(self, tmp_path, capsys, rate):
+        rc = cli.main(["eye", "--pulse", "rc", "--alpha", "0.5", "--rate",
+                       rate, "-o", str(tmp_path / "e.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: rate must be >= 1\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestOutputRouting:
     def test_env_var_sets_default_directory(self, tmp_path, monkeypatch):
@@ -331,6 +339,12 @@ class TestArgumentErrors:
         ("ser", "--target", "-5", "--target must be >= 1"),
         # a bad run-wide setting is reported before eye's one-point check
         ("eye", "--a", "-1", "--a must be finite and nonnegative, not -1.0"),
+        # numpy would fail on a negative size or seed with a traceback
+        ("waveform", "--n", "-1", "--n must be >= 1"),
+        ("waveform", "--n", "0", "--n must be >= 1"),
+        ("ser", "--seed", "-1", "--seed must be >= 0"),
+        ("waveform", "--seed", "-1", "--seed must be >= 0"),
+        ("eye", "--seed", "-1", "--seed must be >= 0"),
     ])
     def test_bad_run_wide_setting(self, tmp_path, capsys, command, option,
                                   value, message):
@@ -347,7 +361,7 @@ class TestArgumentErrors:
                          "-o", str(tmp_path / "x.csv")]) == 2
         assert capsys.readouterr().err == (
             "error: rc is not a root-Nyquist pulse; the matched receiver "
-            "would see ISI (set allow_isi to override)\n")
+            "would see ISI\n")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("name", ["x" * 300, "out/"])

@@ -64,12 +64,7 @@ class TestConfigValidation:
         # Nyquist-only pulse on the matched receiver
         with pytest.raises(DomainError):
             cfg_rc(receiver="matched")
-        # both run when the mismatch is explicitly accepted
-        link.LinkConfig(pulse=pulses.PulseSpec("rrc", 0.5),
-                        constellation=OOK, receiver="sampling",
-                        allow_isi=True)
-        cfg_rc(receiver="matched", allow_isi=True)
-        # the dual-property pulse needs no override on either receiver
+        # the dual-property pulse runs on either receiver
         for receiver in ("sampling", "matched"):
             link.LinkConfig(pulse=pulses.PulseSpec("xia", 0.5),
                             constellation=OOK, receiver=receiver)
@@ -89,17 +84,28 @@ class TestFrontEnd:
     a pair, or rejects it with UnsupportedError, as the pulse flags say."""
 
     @pytest.mark.parametrize("family, receiver", ALL_PAIRS)
-    @pytest.mark.parametrize("allow_isi", [False, True])
+    @pytest.mark.parametrize("via_config", [False, True])
     def test_link_config_follows_the_flags(self, family, receiver,
-                                           allow_isi):
+                                           via_config):
+        # LinkConfig, and front_end on its own
         p = pulses.PulseSpec(family, 0.5)
-        if allow_isi or isi_free(family, receiver):
-            link.LinkConfig(p, OOK, receiver, allow_isi=allow_isi)
-            fe = link.front_end(p, receiver, allow_isi)
-            assert fe.isi_free == isi_free(family, receiver)
+        build = link.LinkConfig if via_config else link.front_end
+        args = (p, OOK, receiver) if via_config else (p, receiver)
+        if isi_free(family, receiver):
+            build(*args)
         else:
-            with pytest.raises(UnsupportedError):
-                link.LinkConfig(p, OOK, receiver, allow_isi=allow_isi)
+            with pytest.raises(UnsupportedError, match="would see ISI$"):
+                build(*args)
+
+    @pytest.mark.parametrize("family, receiver",
+                             [pair for pair in ALL_PAIRS if isi_free(*pair)])
+    def test_single_tap_is_h0(self, family, receiver):
+        # the one tap the receiver convolves with is, bit for bit, the
+        # h(0) of the closed-form levels, over the 0.005 roll-off grid
+        for alpha in np.round(np.arange(0.01, 1.0 + 1e-9, 0.005), 10):
+            p = pulses.PulseSpec(family, alpha)
+            fe = link.front_end(p, receiver)
+            assert fe.response(p, [0.0]).tolist() == [fe.h0], (family, alpha)
 
     @pytest.mark.parametrize("family, receiver", ALL_PAIRS)
     def test_every_site_follows_the_flags(self, family, receiver):
@@ -116,45 +122,6 @@ class TestFrontEnd:
                 with pytest.raises(UnsupportedError):
                     site()
         assert (receiver in gains.valid_receivers(family, "equal-ser")) == ok
-
-    def test_energy_sum_runs_once_and_after_the_rule(self, monkeypatch):
-        # the matched front end of a non-root-Nyquist pulse needs the
-        # lattice sum for Eq: never for a refused pair, once per pulse
-        calls = []
-        energy = pulses.energy
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return energy(*args, **kwargs)
-
-        monkeypatch.setattr(pulses, "energy", counted)
-        link._energy.cache_clear()
-        p = pulses.PulseSpec("pl", 0.5)
-        with pytest.raises(UnsupportedError):
-            link.LinkConfig(p, OOK, "matched")
-        assert calls == []
-        cfg = link.LinkConfig(p, OOK, "matched", allow_isi=True)
-        link.monte_carlo_ser(cfg, 3 * link.MC_CHUNK)
-        assert len(calls) == 1
-
-    @pytest.mark.parametrize("family, receiver", [
-        ("rc", "matched"), ("pl", "matched"), ("rrc", "sampling")])
-    def test_isi_pairs_keep_the_closed_form_ser(self, family, receiver):
-        # the ISI-free reference 2 (M-1)/M Q(d / 2 sigma), from the pulse's
-        # own q(0), bandwidth and energy
-        p = pulses.PulseSpec(family, 0.5)
-        m, a, n0 = 4, 2.0, 0.2
-        cfg = link.LinkConfig(p, bias.Constellation.pam(m), receiver, a=a,
-                              n0=n0, allow_isi=True)
-        meta = pulses.metadata(p)
-        if receiver == "sampling":
-            arg = a * meta.q_zero / (2.0 * math.sqrt(n0 * meta.b_ts / p.ts))
-        else:
-            arg = a * math.sqrt(pulses.energy(p, tol=1e-9) / (2.0 * n0))
-        expected = 2.0 * (m - 1) / m * 0.5 * math.erfc(arg / math.sqrt(2.0))
-        est = link.monte_carlo_ser(cfg, link.MC_MIN_SYMBOLS)
-        assert math.isfinite(est.p_analytic)
-        assert est.p_analytic == pytest.approx(expected, rel=1e-12)
 
 
 class TestNoiseSigma:
@@ -241,35 +208,6 @@ class TestReceiverSamples:
         a = link.receiver_samples(cfg, sym, rng=rng)
         b = link.receiver_samples(cfg, sym, rng=rng)
         assert not np.array_equal(a, b)
-
-
-class TestIsiTaps:
-    """allow_isi pairs keep the symbol-rate response h_k over the pulse's
-    guard window |k| <= effective_guard: a unit impulse (over the all-zero
-    block, which carries the DC term) returns h_k and nothing beyond."""
-
-    @pytest.mark.parametrize("family, receiver, response", [
-        ("rc", "matched", "autocorrelation"),
-        ("pl", "matched", "autocorrelation"),
-        ("rrc", "sampling", "evaluate"),
-    ])
-    def test_impulse_returns_taps(self, family, receiver, response):
-        p = pulses.PulseSpec(family, 0.5)
-        h_of = getattr(pulses, response)
-        cfg = link.LinkConfig(pulse=p, constellation=OOK, receiver=receiver,
-                              allow_isi=True)
-        w = pulses.effective_guard(p)
-        k = np.arange(-w - 4, w + 5)
-        det = link.receiver_samples(cfg, (k == 0).astype(float), noise=False)
-        base = link.receiver_samples(cfg, np.zeros(k.size), noise=False)
-        inside = np.abs(k) <= w
-        np.testing.assert_allclose((det - base)[inside],
-                                   h_of(p, k[inside] * p.ts),
-                                   rtol=0, atol=1e-12)
-        np.testing.assert_allclose((det - base)[~inside], 0.0,
-                                   rtol=0, atol=1e-12)
-        # the window truncates a real tail
-        assert abs(h_of(p, (w + 1) * p.ts)) > 1e-6
 
 
 class TestQInverse:
@@ -457,11 +395,12 @@ def _searchsorted_ser(cfg, n_symbols, target=None):
     return link.SerEstimate(p_hat, consumed, ci95, p_an)
 
 
-# the ISI-free pairs of both receivers, and two allow_isi pairs
+# the ISI-free pairs of both receivers at Ts = 1, and one pair of each
+# receiver again at Ts = 2, where dc, Eq and the noise scale with Ts
 MC_PAIRS = [("rc", "sampling", False), ("xia", "sampling", False),
             ("s2", "sampling", False), ("rrc", "matched", False),
-            ("xia", "matched", False), ("rrc", "sampling", True),
-            ("pl", "matched", True)]
+            ("xia", "matched", False), ("btn", "sampling", True),
+            ("rrc", "matched", True)]
 
 
 @st.composite
@@ -493,13 +432,11 @@ def _decisions(draw):
 class TestIntervalDecisions:
     """The interval rule against the searchsorted loop it replaced."""
 
-    @pytest.mark.parametrize("family, receiver, allow_isi", MC_PAIRS)
+    @pytest.mark.parametrize("family, receiver, ts2", MC_PAIRS)
     @pytest.mark.parametrize("m", [2, 4, 8])
-    def test_same_estimate_as_searchsorted(self, family, receiver,
-                                           allow_isi, m):
-        base = link.LinkConfig(pulses.PulseSpec(family, 0.5),
-                               bias.Constellation.pam(m), receiver,
-                               seed=m, allow_isi=allow_isi)
+    def test_same_estimate_as_searchsorted(self, family, receiver, ts2, m):
+        p = pulses.PulseSpec(family, 0.5, 2.0 if ts2 else 1.0)
+        base = link.LinkConfig(p, bias.Constellation.pam(m), receiver, seed=m)
         cfg = replace(base, a=link.amplitude_for_ser(base, 0.05))
         # a partial last chunk
         n = link.MC_CHUNK + 5_000
@@ -507,16 +444,15 @@ class TestIntervalDecisions:
         assert got == _searchsorted_ser(cfg, n)
         assert 0.0 < got.p_hat < 1.0 and got.n_symbols == n
 
-    @pytest.mark.parametrize("family, receiver, allow_isi", MC_PAIRS)
+    @pytest.mark.parametrize("family, receiver, ts2", MC_PAIRS)
     @pytest.mark.parametrize("change", [
         {"a": 0.0}, {"n0": 0.0}, {"target": 60}], ids=["a0", "n0", "target"])
-    def test_same_estimate_at_the_edges(self, family, receiver, allow_isi,
+    def test_same_estimate_at_the_edges(self, family, receiver, ts2,
                                         change):
         change = dict(change)
         target = change.pop("target", None)
-        base = link.LinkConfig(pulses.PulseSpec(family, 0.5),
-                               bias.Constellation.pam(4), receiver, seed=9,
-                               allow_isi=allow_isi)
+        p = pulses.PulseSpec(family, 0.5, 2.0 if ts2 else 1.0)
+        base = link.LinkConfig(p, bias.Constellation.pam(4), receiver, seed=9)
         # about 33 errors a chunk, so a target of 60 stops after two
         cfg = replace(base, **{"a": link.amplitude_for_ser(base, 2e-3),
                                **change})

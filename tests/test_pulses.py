@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from imdd import pulses
-from imdd.errors import DomainError
+from imdd.errors import DomainError, UnsupportedError
 
 EVEN_FAMILIES = ("rc", "btn", "pl", "poly", "s2", "src", "sdj", "rrc")
 NYQUIST_FAMILIES = ("rc", "btn", "pl", "poly", "s2", "src", "sdj", "xia")
@@ -223,25 +223,37 @@ class TestTailEnvelope:
 
 
 class TestSpectralQuantities:
-    def test_spectrum_dc_equals_area(self):
-        for family in ("rc", "rrc", "sdj"):
-            p = pulses.PulseSpec(family, 0.6)
-            meta = pulses.metadata(p)
-            s0 = pulses.spectrum_at(p, 0.0)
-            assert complex(s0).real == pytest.approx(meta.q_bar * p.ts, rel=1e-8)
-            assert abs(complex(s0).imag) < 1e-10
+    """Eq = rho(0) of the root-Nyquist pulses comes from the metadata
+    table; a Riemann sum of q^2 checks it (q^2 is bandlimited to 2B, so
+    the sum at 64 points a symbol errs only by its tail cut)."""
+
+    @staticmethod
+    def _riemann_energy(p):
+        t = np.arange(-400 * 64, 400 * 64 + 1) * (p.ts / 64)
+        return float(np.sum(pulses.evaluate(p, t) ** 2)) * (p.ts / 64)
 
     def test_energy_positive_and_scale(self):
         p1 = pulses.PulseSpec("rrc", 0.4, 1.0)
         p2 = pulses.PulseSpec("rrc", 0.4, 2.0)
-        e1, e2 = pulses.energy(p1), pulses.energy(p2)
+        e1 = pulses.autocorrelation(p1, 0.0)
+        e2 = pulses.autocorrelation(p2, 0.0)
         assert e1 > 0
-        assert e2 == pytest.approx(2.0 * e1, rel=1e-8)
+        assert e2 == pytest.approx(2.0 * e1, rel=1e-12)
+        assert e2 == pytest.approx(self._riemann_energy(p2), rel=1e-6)
 
     def test_autocorrelation_peak_is_energy(self):
-        p = pulses.PulseSpec("xia", 0.5)
-        assert pulses.autocorrelation(p, 0.0) == pytest.approx(
-            pulses.energy(p), rel=1e-9)
+        for family in ("rrc", "xia"):
+            for alpha in (0.2, 0.5, 1.0):
+                p = pulses.PulseSpec(family, alpha)
+                assert pulses.autocorrelation(p, 0.0) == pytest.approx(
+                    self._riemann_energy(p), rel=1e-6), (family, alpha)
+
+    @pytest.mark.parametrize("family", ["rc", "pl", "s2"])
+    def test_autocorrelation_needs_root_nyquist(self, family):
+        # no closed form: the matched receiver refuses these pulses anyway
+        with pytest.raises(UnsupportedError, match="not a root-Nyquist"):
+            pulses.autocorrelation(pulses.PulseSpec(family, 0.5),
+                                   np.array([0.0, 1.0]))
 
 
 @settings(max_examples=25, deadline=None)

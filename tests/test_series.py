@@ -103,8 +103,6 @@ class TestBudget:
     def test_rejects_nonpositive_tol(self):
         with pytest.raises(DomainError):
             _series.k_for_tol(2.0, 1.0, 1.0, 0.0)
-        with pytest.raises(DomainError):
-            _series.lattice_cut(2.0, 1.0, -1e-9, 32)
 
 
 class TestExtrapolate:
@@ -242,16 +240,3 @@ class TestGoldenMax:
     def test_recovers_arbitrary_vertex(self, v, w):
         x, _ = _series.golden_max(lambda x: -w * (x - v) ** 2, 0.0, 3.0, 1e-11)
         assert abs(x - v) < 1e-8
-
-
-class TestLatticeCut:
-    def test_cut_shrinks_with_rate(self):
-        p, coef, _ = pulses.tail_envelope(pulses.PulseSpec("rc", 0.3))
-        u16 = _series.lattice_cut(p, coef, 1e-9, 16)
-        u64 = _series.lattice_cut(p, coef, 1e-9, 64)
-        assert u64 < u16
-
-    def test_size_guard(self):
-        with pytest.raises(NumericalDivergenceError):
-            _series.check_lattice_size(_series.LATTICE_CAP)
-        _series.check_lattice_size(100)  # fine

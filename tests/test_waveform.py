@@ -289,6 +289,16 @@ class TestEyeDiagram:
         with pytest.raises(DomainError):
             waveform.eye_diagram(RC6, OOK, n_traces=0)
 
+    @pytest.mark.parametrize("rate", [0, -2])
+    def test_rate_at_least_one(self, rate):
+        # rate 0 would be a zero slice step, a bare ValueError
+        with pytest.raises(DomainError, match="rate must be >= 1"):
+            waveform.eye_diagram(RC6, OOK, n_traces=4, rate=rate)
+
+    def test_rate_one_is_one_sample_a_symbol(self):
+        eye = waveform.eye_diagram(RC6, OOK, n_traces=4, rate=1)
+        assert eye.traces.shape == (4, 2)
+
     def test_deterministic(self):
         a = waveform.eye_diagram(RC6, OOK, n_traces=8, seed=21)
         b = waveform.eye_diagram(RC6, OOK, n_traces=8, seed=21)
