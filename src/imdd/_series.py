@@ -38,13 +38,6 @@ ACCEL_GAIN = 16.0
 EVAL_CHUNK_ELEMS = 1 << 13
 
 
-def raw_tail_bound(p: float, coef: float, k: float) -> float:
-    """Upper bound on sum_{|j|>k} coef/j^p (integral bound plus first term)."""
-    if k <= 1:
-        return math.inf
-    return 2.0 * coef * (k ** -p + k ** (1.0 - p) / (p - 1.0))
-
-
 def k_for_tol(p: float, coef: float, u0: float, tol: float) -> int:
     """Half-width K whose modeled post-acceleration error is below tol."""
     if tol <= 0:

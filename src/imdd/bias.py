@@ -29,17 +29,18 @@ import numpy as np
 from . import _series, pulses
 from .errors import DomainError
 
-DEFAULT_GRID_N = 4096
-DEFAULT_TAIL_TOL = 1e-9
-REFINE_TOL_FACTOR = 1e-10  # of ts
+# The one accuracy every bias is solved at.
+GRID_N = 4096              # coarse grid points over one period
+DEFAULT_TAIL_TOL = 1e-9    # modeled error of the final fold
+REFINE_TOL_FACTOR = 1e-10  # golden bracket width, of ts
 
 # Stage tolerances.  The coarse grid only has to find candidate basins and
 # the golden step only has to locate their maxima: both run on smooth
 # fixed-truncation surrogates whose argmax is within O(tol/K) of the true
 # one, so location accuracy costs far less than value accuracy.  Only the
-# final single-point polish pays for tail_tol.
-_STAGE1_TOL_FLOOR = 1e-3
-_STAGE2_TOL_FLOOR = 1e-6
+# final single-point polish pays for DEFAULT_TAIL_TOL.
+_STAGE1_TOL = 1e-3
+_STAGE2_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,8 @@ class Constellation:
         object.__setattr__(self, "levels", lv)
         if len(lv) < 2:
             raise DomainError("constellation needs at least 2 levels")
+        if not all(map(math.isfinite, lv)):
+            raise DomainError(f"levels must be finite, not {lv}")
         if any(b <= a for a, b in zip(lv, lv[1:])):
             raise DomainError("levels must be strictly increasing")
 
@@ -96,20 +99,11 @@ class Constellation:
 @dataclass(frozen=True)
 class BiasSolution:
     """Result of the bias search: the bias itself, where the folded-sum
-    supremum sits in [0, ts), and the numerical effort that produced it."""
+    supremum sits in [0, ts), and the fold half-width of the final,
+    full-accuracy evaluation."""
 
     mu: float
     argmax_t: float
-    k_trunc: int
-    grid_n: int
-    refine_tol: float
-
-
-@dataclass(frozen=True)
-class FoldValue:
-    """A truncated pulse-train sum together with the half-width used."""
-
-    value: float
     k_trunc: int
 
 
@@ -138,24 +132,6 @@ def _signed(pulse: pulses.PulseSpec, t):
     return pulses.metadata(pulse).q_bar + 2.0 * _c1(pulse) * np.cos(phase)
 
 
-def folded_abs_sum(pulse: pulses.PulseSpec, t, tail_tol: float = DEFAULT_TAIL_TOL):
-    """Tail-corrected sum_k |q(t - k ts)| = F + 2 N; error <~ tail_tol.
-
-    Accepts scalar or array t.  Returns a FoldValue carrying the truncation
-    half-width actually used.
-    """
-    k = _k_for(pulse, tail_tol)
-    value = _signed(pulse, t) + 2.0 * _fold(pulse, t, k)
-    return FoldValue(float(value[0]) if np.ndim(t) == 0 else value, k)
-
-
-def folded_signed_sum(pulse: pulses.PulseSpec, t):
-    """sum_k q(t - k ts) in closed form, so k_trunc = 0:
-    q_bar + 2 c1 cos(2 pi t / ts), constant whenever B*ts <= 1."""
-    value = _signed(pulse, t)
-    return FoldValue(float(value) if np.ndim(t) == 0 else value, 0)
-
-
 @dataclass(frozen=True)
 class _SearchResult:
     """A supremum over one period: where it sits, its value and the fold
@@ -167,38 +143,37 @@ class _SearchResult:
 
 
 @lru_cache(maxsize=4096)
-def _search(family: str, alpha: float, ts: float, tail_tol: float,
-            grid_n: int, refine_tol: float) -> _SearchResult:
+def _search(family: str, alpha: float, ts: float) -> _SearchResult:
     """Maximize the negative-part fold N(t) over [0, ts).
 
     Coarse uniform grid (half period for even pulses), golden refinement of
     the leading basins, then one high-accuracy polish at the winner.  N does
-    not depend on the constellation, so every level set and
-    ``peak_abs_sum`` share one search.  The stage windows below are those
-    tuned on the OOK objective sum |q| - sum q = 2 N, halved.
+    not depend on the constellation, so every level set shares one search.
+    The stage windows below are those tuned on the OOK objective
+    sum |q| - sum q = 2 N, halved.
 
     The three stage budgets are computed before any fold, so a tail too
-    slow for tail_tol raises NumericalDivergenceError at no cost.  A
+    slow for DEFAULT_TAIL_TOL raises NumericalDivergenceError at no cost.  A
     nonnegative pulse has N = 0 at every t, so there is no search: the
     result sits at t = 0 with the full-accuracy budget k3.
     """
     pulse = pulses.PulseSpec(family, alpha, ts)
     even = family != "xia"
+    refine_tol = REFINE_TOL_FACTOR * ts
 
-    tol1 = max(tail_tol, _STAGE1_TOL_FLOOR)
-    tol2 = max(tail_tol, _STAGE2_TOL_FLOOR)
+    tol1, tol2 = _STAGE1_TOL, _STAGE2_TOL
     k1 = _k_for(pulse, tol1)
     k2 = _k_for(pulse, tol2)
-    k3 = max(_k_for(pulse, tail_tol), k2)
+    k3 = max(_k_for(pulse, DEFAULT_TAIL_TOL), k2)
 
     if pulses.metadata(pulse).nonnegative:
         return _SearchResult(0.0, 0.0, k3)
 
     if even:
-        n_pts = grid_n // 2 + 1
+        n_pts = GRID_N // 2 + 1
         grid = np.linspace(0.0, 0.5 * ts, n_pts)
     else:
-        n_pts = grid_n
+        n_pts = GRID_N
         grid = np.arange(n_pts) * (ts / n_pts)
     obj = _fold(pulse, grid, k1)
 
@@ -263,52 +238,23 @@ def _search(family: str, alpha: float, ts: float, tail_tol: float,
     return best
 
 
-def required_bias(pulse: pulses.PulseSpec, constellation: Constellation, *,
-                  grid_n: int = DEFAULT_GRID_N,
-                  tail_tol: float = DEFAULT_TAIL_TOL,
-                  refine_tol: float | None = None) -> BiasSolution:
+def required_bias(pulse: pulses.PulseSpec,
+                  constellation: Constellation) -> BiasSolution:
     """Minimum bias mu keeping x(t) >= 0 for all symbol sequences.
 
     mu = scale * max_t [2 N(t) + w F(t)] with w = 1 - ratio.  F is the
     constant q_bar unless c1 != 0, and then N = 0 and w F peaks at t = 0
     or ts/2 by the sign of w.
     """
-    if grid_n < DEFAULT_GRID_N:
-        raise DomainError(f"grid_n must be >= {DEFAULT_GRID_N}")
-    if refine_tol is None:
-        refine_tol = REFINE_TOL_FACTOR * pulse.ts
     scale = constellation.a_hat - constellation.midpoint
     w = 1.0 - constellation.midpoint / scale
-    res = _search(pulse.family, pulse.alpha, pulse.ts, tail_tol, grid_n,
-                  refine_tol)
+    res = _search(pulse.family, pulse.alpha, pulse.ts)
     t = 0.5 * pulse.ts if w < 0.0 and _c1(pulse) else res.t_star
     mu = scale * (2.0 * res.value + w * float(_signed(pulse, t)))
-    return BiasSolution(mu=mu, argmax_t=t, k_trunc=res.k_trunc,
-                        grid_n=grid_n, refine_tol=refine_tol)
-
-
-def peak_abs_sum(pulse: pulses.PulseSpec, **opts) -> _SearchResult:
-    """max_t sum |q(t - k ts)| and its location: the bias the bipolar
-    levels {-1, 1} need (w = 1, scale 1).  Options as ``required_bias``."""
-    sol = required_bias(pulse, Constellation((-1.0, 1.0)), **opts)
-    return _SearchResult(sol.argmax_t, sol.mu, sol.k_trunc)
-
-
-def bias_curve(family: str, alpha_grid, constellation: Constellation,
-               ts: float = 1.0, **opts) -> list[tuple[float, float]]:
-    """Normalized bias curve [(alpha, mu/a_hat), ...] over an alpha grid.
-
-    For uniform M-PAM the normalized curve is independent of M (both bias
-    terms scale with (M-1)/2 while a_hat = M-1).
-    """
-    out = []
-    for alpha in alpha_grid:
-        sol = required_bias(pulses.PulseSpec(family, float(alpha), ts),
-                            constellation, **opts)
-        out.append((float(alpha), sol.mu / constellation.a_hat))
-    return out
+    return BiasSolution(mu=mu, argmax_t=t, k_trunc=res.k_trunc)
 
 
 def clear_caches():
-    """Drop memoized search results (used by timing-sensitive tests)."""
+    """Drop memoized search results, so the next bias of each pulse is
+    solved afresh (cold timings, or a test that changes GRID_N)."""
     _search.cache_clear()

@@ -180,8 +180,7 @@ def _keys(cfg: argparse.Namespace, *more):
 def _run_bias(cfg: argparse.Namespace, t0: float) -> int:
     def point(family, alpha, m):
         sol = bias.required_bias(pulses.PulseSpec(family, alpha, cfg.ts),
-                                 bias.Constellation.pam(m),
-                                 grid_n=cfg.grid_n, tail_tol=cfg.tail_tol)
+                                 bias.Constellation.pam(m))
         return (family, alpha, m, cfg.ts, sol.mu, sol.mu / (m - 1),
                 sol.argmax_t, sol.k_trunc)
 
@@ -342,8 +341,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bias", parents=[common],
                        help="minimum DC bias over a pulse/alpha/M grid")
     p.add_argument("--alpha", required=True, help=alpha_help)
-    p.add_argument("--grid-n", type=int, default=bias.DEFAULT_GRID_N)
-    p.add_argument("--tail-tol", type=float, default=bias.DEFAULT_TAIL_TOL)
 
     p = sub.add_parser("waveform", parents=[common],
                        help="sampled transmit intensity for random symbols")
@@ -395,10 +392,6 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
         args.out_dir, f"{args.command}.{args.format}")
     if not 0.0 < args.ts < math.inf:
         raise DomainError("ts must be positive and finite")
-    if "tail_tol" in args and not args.tail_tol > 0:
-        raise DomainError("--tail-tol must be positive")
-    if "grid_n" in args and args.grid_n < bias.DEFAULT_GRID_N:
-        raise DomainError(f"--grid-n must be >= {bias.DEFAULT_GRID_N}")
     if "p_err" in args:
         if not 0.0 < args.p_err < 1.0:
             raise DomainError("--perr must lie in (0, 1)")

@@ -101,6 +101,7 @@ class LinkConfig:
         require_nonnegative("amplitude a", self.a)
         require_nonnegative("n0", self.n0)
         require_positive("gain", self.gain)
+        require_nonnegative("seed", self.seed)
         front_end(self.pulse, self.receiver)
 
 

@@ -111,6 +111,7 @@ def synthesize(pulse: pulses.PulseSpec, constellation: _bias.Constellation,
     if rate < MIN_RATE:
         raise DomainError(f"rate must be >= {MIN_RATE}")
     link.require_nonnegative("amplitude a", a)
+    link.require_nonnegative("seed", seed)
     _require_finite_bias(mu)
     symbols = np.asarray(symbols, dtype=float)
     if symbols.ndim != 1 or symbols.size == 0:
@@ -180,6 +181,7 @@ def eye_diagram(pulse: pulses.PulseSpec, constellation: _bias.Constellation,
         raise DomainError("rate must be >= 1")
     link.require_nonnegative("amplitude a", a)
     link.require_positive("gain", gain)
+    link.require_nonnegative("seed", seed)
     fe = link.front_end(pulse, receiver)
 
     mu = _bias.required_bias(pulse, constellation).mu

@@ -92,7 +92,7 @@ def test_criterion_03_folded_sum_constancy():
             c1 = {"src": alpha / 8.0, "sdj": alpha / 4.0}.get(family, 0.0)
             line = (pulses.metadata(p).q_bar
                     + 2.0 * c1 * np.cos(2.0 * np.pi * t_grid))
-            fs = bias.folded_signed_sum(p, t_grid).value
+            fs = bias._signed(p, t_grid)
             np.testing.assert_allclose(fs, line, rtol=0, atol=1e-15)
             num = _numerical_signed_fold(p, t_grid.size, 1e-6)
             dev = float(np.max(np.abs(fs - num)))
@@ -388,14 +388,21 @@ def test_criterion_10_monte_carlo_matches_analytic():
     assert elapsed < 60.0, f"six Monte Carlo runs took {elapsed:.2f} s"
 
 
-def test_criterion_11a_bias_grid_doubling():
+def test_criterion_11a_bias_grid_doubling(monkeypatch):
     cases = (("rc", 0.6), ("pl", 0.7), ("btn", 0.45), ("poly", 0.3),
              ("rrc", 0.715), ("xia", 0.5))
-    for family, alpha in cases:
-        p = pulses.PulseSpec(family, alpha)
-        coarse = bias.required_bias(p, OOK, grid_n=4096).mu
-        fine = bias.required_bias(p, OOK, grid_n=8192).mu
-        assert abs(fine - coarse) < 1e-8, (family, alpha, fine - coarse)
+    specs = [pulses.PulseSpec(family, alpha) for family, alpha in cases]
+    coarse = [bias.required_bias(p, OOK).mu for p in specs]
+    # the cache holds the 4096-point results: drop them before and after
+    # the searches on the doubled grid
+    bias.clear_caches()
+    monkeypatch.setattr(bias, "GRID_N", 8192)
+    try:
+        fine = [bias.required_bias(p, OOK).mu for p in specs]
+    finally:
+        bias.clear_caches()
+    for case, mu_c, mu_f in zip(cases, coarse, fine):
+        assert abs(mu_f - mu_c) < 1e-8, (case, mu_f - mu_c)
 
 
 def test_criterion_11b_oversampling_error_reduction():

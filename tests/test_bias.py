@@ -6,16 +6,27 @@ half-width, parabolic vertex refinement) before being copied here; the
 search under test must land on them to ~1e-8.
 """
 
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from imdd import _series, bias, pulses
+from imdd import _series, bias, cli, pulses
 from imdd.errors import DomainError, NumericalDivergenceError
 
 OOK = bias.Constellation.pam(2)
+# levels {-1, 1}: midpoint 0 and a_hat 1, so the bias is the peak of sum |q|
+BIPOLAR = bias.Constellation((-1.0, 1.0))
+
+
+def _abs_fold(pulse, t, tol=bias.DEFAULT_TAIL_TOL):
+    """sum_k |q(t - k ts)| = F + 2 N from the search's own helpers, with the
+    negative-part fold N summed to the tolerance tol."""
+    return (bias._signed(pulse, t)
+            + 2.0 * bias._fold(pulse, t, bias._k_for(pulse, tol)))
+
 
 # (family, alpha) -> minimum OOK bias, brute-force values
 MU_ANCHORS = {
@@ -44,6 +55,14 @@ class TestConstellation:
     def test_needs_two_levels(self):
         with pytest.raises(DomainError):
             bias.Constellation((0.0,))
+
+    @pytest.mark.parametrize("levels", [
+        (0.0, float("nan")), (0.0, float("inf")), (float("-inf"), 0.0),
+        (float("nan"), 0.0, 1.0)])
+    def test_levels_must_be_finite(self, levels):
+        # a level that is not finite would make every bias nan
+        with pytest.raises(DomainError, match="levels must be finite"):
+            bias.Constellation(levels)
 
     def test_strictly_increasing(self):
         with pytest.raises(DomainError):
@@ -81,7 +100,7 @@ class TestRequiredBias:
         sol = bias.required_bias(p, OOK)
         assert sol.mu == 0.0
         assert sol.argmax_t == 0.0
-        assert sol.k_trunc == bias.folded_abs_sum(p, 0.0).k_trunc
+        assert sol.k_trunc == bias._k_for(p, bias.DEFAULT_TAIL_TOL)
         searched = bias.required_bias(p, bias.Constellation((1.0, 2.0)))
         assert sol.k_trunc == searched.k_trunc
 
@@ -92,20 +111,19 @@ class TestRequiredBias:
         p = pulses.PulseSpec("src", 0.5)
         sol = bias.required_bias(p, bias.Constellation((1.0, 2.0)))
         t = np.linspace(0.0, 1.0, 2001)
-        fs = bias.folded_signed_sum(p, t).value
+        fs = bias._signed(p, t)
         assert sol.mu == pytest.approx(-np.min(fs), abs=1e-7)
         assert sol.mu == pytest.approx(-0.75, abs=1e-6)
         assert sol.argmax_t == 0.5
 
     def test_levels_share_one_search(self):
         # the negative-part fold does not depend on the levels, so three
-        # level sets with different ratios and the peak of sum |q| cost a
-        # single search
+        # level sets with different ratios, the bipolar one giving the peak
+        # of sum |q|, cost a single search
         bias.clear_caches()
         p = pulses.PulseSpec("rc", 0.45)
         for levels in ((0.0, 1.0), (-1.0, 1.0), (1.0, 2.0)):
             bias.required_bias(p, bias.Constellation(levels))
-        bias.peak_abs_sum(p)
         assert bias._search.cache_info().misses == 1
 
     def test_divergent_tail_raises_before_any_fold(self, monkeypatch):
@@ -126,24 +144,9 @@ class TestRequiredBias:
             "alpha is likely too small for this accuracy")
         assert calls == []
 
-    def test_nonpositive_tail_tol_is_a_domain_error(self):
-        with pytest.raises(DomainError, match="tol must be positive"):
-            bias.required_bias(pulses.PulseSpec("rc", 0.5), OOK, tail_tol=0)
-
     def test_argmax_within_period(self):
         sol = bias.required_bias(pulses.PulseSpec("rc", 0.6), OOK)
         assert 0.0 <= sol.argmax_t < 1.0
-
-    def test_result_metadata(self):
-        p = pulses.PulseSpec("rc", 0.5)
-        sol = bias.required_bias(p, OOK, grid_n=8192, tail_tol=1e-7)
-        assert sol.grid_n == 8192
-        assert sol.k_trunc >= 64
-        assert sol.refine_tol == pytest.approx(bias.REFINE_TOL_FACTOR * p.ts)
-
-    def test_grid_floor_enforced(self):
-        with pytest.raises(DomainError):
-            bias.required_bias(pulses.PulseSpec("rc", 0.5), OOK, grid_n=1024)
 
     def test_no_grid_point_beats_the_search(self):
         # Property oracle: the returned supremum must dominate a dense
@@ -151,8 +154,8 @@ class TestRequiredBias:
         p = pulses.PulseSpec("poly", 0.5)
         sol = bias.required_bias(p, OOK)
         t = np.linspace(0.0, 1.0, 20001, endpoint=False)
-        fa = bias.folded_abs_sum(p, t, tail_tol=1e-8).value
-        fs = bias.folded_signed_sum(p, t).value
+        fa = _abs_fold(p, t, tol=1e-8)
+        fs = bias._signed(p, t)
         grid_best = 0.5 * np.max(fa - fs)
         assert sol.mu >= grid_best - 1e-7
         assert sol.mu <= grid_best + 1e-4   # grid spacing limits the gap
@@ -169,10 +172,10 @@ class TestRequiredBias:
     def test_bipolar_symbols_remove_the_mean_term(self):
         # midpoint 0 -> ratio 0: bias equals a_hat * peak of the abs-sum
         p = pulses.PulseSpec("rc", 0.5)
-        c = bias.Constellation((-1.0, 1.0))
+        c = bias.Constellation((-3.0, -1.0, 1.0, 3.0))
         sol = bias.required_bias(p, c)
-        peak = bias.peak_abs_sum(p)
-        assert sol.mu == pytest.approx(peak.value, rel=1e-12)
+        peak = bias.required_bias(p, BIPOLAR).mu
+        assert sol.mu == pytest.approx(3.0 * peak, rel=1e-12)
 
     @pytest.mark.parametrize("family", ["rc", "xia"])
     def test_level_shift_identity(self, family):
@@ -203,67 +206,74 @@ class TestFoldedSums:
         for family in ("rc", "btn", "pl", "poly", "s2", "rrc", "xia"):
             p = pulses.PulseSpec(family, 0.35)
             t = np.linspace(0.0, 1.0, 41)
-            fs = bias.folded_signed_sum(p, t).value
+            fs = bias._signed(p, t)
             np.testing.assert_allclose(
                 fs, pulses.metadata(p).q_bar, rtol=0, atol=1e-7)
 
     def test_abs_dominates_signed(self):
         p = pulses.PulseSpec("rc", 0.5)
         t = np.linspace(0.0, 1.0, 17)
-        fa = bias.folded_abs_sum(p, t).value
-        fs = bias.folded_signed_sum(p, t).value
+        fa = _abs_fold(p, t)
+        fs = bias._signed(p, t)
         assert np.all(fa >= np.abs(fs) - 1e-12)
 
     def test_scalar_input_gives_scalar(self):
+        # the search reads one fold value at a scalar offset
         p = pulses.PulseSpec("rc", 0.5)
-        out = bias.folded_abs_sum(p, 0.5)
-        assert isinstance(out.value, float)
-        assert out.k_trunc >= 64
+        assert isinstance(bias._signed(p, 0.5), float)
+        k = bias._k_for(p, bias.DEFAULT_TAIL_TOL)
+        assert bias._fold(p, 0.5, k).shape == (1,)
+        assert k >= 64
 
     def test_period_one_in_symbol_time(self):
         p = pulses.PulseSpec("xia", 0.4)
-        a = bias.folded_abs_sum(p, 0.3, tail_tol=1e-8).value
-        b = bias.folded_abs_sum(p, 0.3 + 3.0, tail_tol=1e-8).value
+        a = _abs_fold(p, 0.3, tol=1e-8)
+        b = _abs_fold(p, 0.3 + 3.0, tol=1e-8)
         assert a == pytest.approx(b, abs=1e-7)
 
 
 class TestPeakAbsSum:
     def test_consistency_of_reported_parts(self):
         p = pulses.PulseSpec("rc", 0.5)
-        res = bias.peak_abs_sum(p)
-        assert 0.0 <= res.t_star < 1.0
-        fa = bias.folded_abs_sum(p, res.t_star)
-        assert res.value == pytest.approx(fa.value, abs=1e-12)
-        assert res.k_trunc == fa.k_trunc
+        res = bias.required_bias(p, BIPOLAR)
+        assert 0.0 <= res.argmax_t < 1.0
+        fa = float(_abs_fold(p, res.argmax_t)[0])
+        assert res.mu == pytest.approx(fa, abs=1e-12)
+        assert res.k_trunc == bias._k_for(p, bias.DEFAULT_TAIL_TOL)
 
     def test_peak_at_least_center_value(self):
         # the lattice sum at t=0 already contains |q(0)| = 1
-        res = bias.peak_abs_sum(pulses.PulseSpec("pl", 0.3))
-        assert res.value >= 1.0
+        res = bias.required_bias(pulses.PulseSpec("pl", 0.3), BIPOLAR)
+        assert res.mu >= 1.0
 
     @pytest.mark.parametrize("family", ["src", "sdj"])
     def test_wideband_peak_is_q_zero(self, family):
         # nonnegative Nyquist pulse: the train peaks at the symbol instants,
         # where every other pulse is zero
-        res = bias.peak_abs_sum(pulses.PulseSpec(family, 0.6))
-        assert res.t_star == 0.0
-        assert res.value == pytest.approx(1.0, abs=1e-15)
+        res = bias.required_bias(pulses.PulseSpec(family, 0.6), BIPOLAR)
+        assert res.argmax_t == 0.0
+        assert res.mu == pytest.approx(1.0, abs=1e-15)
 
 
 class TestBiasCurve:
-    def test_matches_pointwise_calls(self):
-        grid = [0.3, 0.5, 0.8]
-        curve = bias.bias_curve("rc", grid, OOK)
-        assert [a for a, _ in curve] == grid
-        for alpha, mu_norm in curve:
-            direct = bias.required_bias(pulses.PulseSpec("rc", alpha), OOK)
-            assert mu_norm == direct.mu / OOK.a_hat
+    def test_matches_pointwise_calls(self, tmp_path):
+        # the curve the bias command writes is the pointwise library bias
+        out = tmp_path / "curve.json"
+        assert cli.main(["bias", "--pulse", "rc", "--alpha", "0.3:0.8:0.25",
+                         "--format", "json", "-o", str(out)]) == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert [row["alpha"] for row in rows] == [0.3, 0.55, 0.8]
+        for row in rows:
+            direct = bias.required_bias(pulses.PulseSpec("rc", row["alpha"]),
+                                        OOK)
+            assert row["mu_norm"] == direct.mu / OOK.a_hat
 
     def test_normalized_curve_is_order_free(self):
-        grid = [0.4, 0.7]
-        c2 = bias.bias_curve("rc", grid, OOK)
-        c8 = bias.bias_curve("rc", grid, bias.Constellation.pam(8))
-        assert c2 == c8
+        pam8 = bias.Constellation.pam(8)
+        for alpha in (0.4, 0.7):
+            p = pulses.PulseSpec("rc", alpha)
+            assert (bias.required_bias(p, OOK).mu / OOK.a_hat
+                    == bias.required_bias(p, pam8).mu / pam8.a_hat)
 
     def test_known_orderings_at_half_alpha(self):
         """At alpha = 0.5 the roster orders xia > poly > rc > rrc > btn ~ pl,
@@ -301,10 +311,10 @@ def test_amplitude_scaling_is_exact(s):
 @settings(max_examples=8, deadline=None)
 @given(alpha=st.floats(0.05, 1.0))
 def test_mu_bounded_by_peak_sum(alpha):
-    """0 <= mu <= scale * peak_abs_sum for any OOK search point."""
+    """0 <= mu <= scale * peak of sum |q| for any OOK search point."""
     p = pulses.PulseSpec("rc", alpha)
-    mu = bias.required_bias(p, OOK, tail_tol=1e-7).mu
-    peak = bias.peak_abs_sum(p, tail_tol=1e-7).value
+    mu = bias.required_bias(p, OOK).mu
+    peak = bias.required_bias(p, BIPOLAR).mu
     assert -1e-9 <= mu <= 0.5 * peak + 1e-9
 
 

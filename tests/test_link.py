@@ -56,6 +56,12 @@ class TestConfigValidation:
         with pytest.raises(DomainError, match="gain must be finite and pos"):
             cfg_rc(gain=gain)
 
+    def test_seed_nonnegative(self):
+        # numpy would refuse it only once Monte Carlo draws, with a bare
+        # ValueError
+        with pytest.raises(DomainError, match="seed must be finite and non"):
+            cfg_rc(seed=-1)
+
     def test_isi_guards(self):
         # root-only pulse on the sampling receiver
         with pytest.raises(DomainError):

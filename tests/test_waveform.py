@@ -61,6 +61,11 @@ class TestSynthesizeValidation:
         with pytest.raises(DomainError, match="bias mu must be finite"):
             waveform.synthesize(RC6, OOK, [0.0, 1.0], mu=mu)
 
+    def test_seed_nonnegative(self):
+        # numpy's generator would raise a bare ValueError
+        with pytest.raises(DomainError, match="seed must be finite and non"):
+            waveform.synthesize(RC6, OOK, [0.0, 1.0], mu=MU_RC6, seed=-1)
+
 
 class TestSynthesizeGrid:
     def test_shape_and_time_axis(self):
@@ -189,10 +194,11 @@ class TestOpticalPowers:
         mu = MU_RC6
         pw = waveform.optical_powers(RC6, OOK, mu=mu)
         meta = pulses.metadata(RC6)
-        peak = bias.peak_abs_sum(RC6)
+        # the peak of sum |q|: the bias the bipolar levels {-1, 1} need
+        peak = bias.required_bias(RC6, bias.Constellation((-1.0, 1.0))).mu
         assert pw.p_opt == pytest.approx(mu + 0.5 * meta.q_bar, rel=1e-12)
         assert pw.p_max == pytest.approx(
-            mu + 0.5 * peak.value + 0.5 * meta.q_bar, rel=1e-12)
+            mu + 0.5 * peak + 0.5 * meta.q_bar, rel=1e-12)
 
     @pytest.mark.parametrize("family", ["src", "sdj"])
     @pytest.mark.parametrize("levels", [(0.0, 1.0), (0.0, 1.0, 2.0, 3.0),
@@ -288,6 +294,10 @@ class TestEyeDiagram:
     def test_trace_count_validation(self):
         with pytest.raises(DomainError):
             waveform.eye_diagram(RC6, OOK, n_traces=0)
+
+    def test_seed_nonnegative(self):
+        with pytest.raises(DomainError, match="seed must be finite and non"):
+            waveform.eye_diagram(RC6, OOK, n_traces=4, seed=-1)
 
     @pytest.mark.parametrize("rate", [0, -2])
     def test_rate_at_least_one(self, rate):
