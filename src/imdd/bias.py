@@ -21,6 +21,7 @@ serves every constellation and the peak of sum |q|.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,7 +33,7 @@ from .errors import DomainError
 # The one accuracy every bias is solved at.
 GRID_N = 4096              # coarse grid points over one period
 DEFAULT_TAIL_TOL = 1e-9    # modeled error of the final fold
-REFINE_TOL_FACTOR = 1e-10  # golden bracket width, of ts
+REFINE_TOL = 1e-10         # golden bracket width, in units of ts
 
 # Stage tolerances.  The coarse grid only has to find candidate basins and
 # the golden step only has to locate their maxima: both run on smooth
@@ -63,8 +64,8 @@ class Constellation:
 
     @classmethod
     def pam(cls, m: int) -> "Constellation":
-        if m < 2:
-            raise DomainError("PAM order must be >= 2")
+        if not isinstance(m, numbers.Integral) or m < 2:
+            raise DomainError(f"PAM order must be an integer >= 2, not {m!r}")
         return cls(tuple(float(v) for v in range(m)))
 
     @property
@@ -143,8 +144,10 @@ class _SearchResult:
 
 
 @lru_cache(maxsize=4096)
-def _search(family: str, alpha: float, ts: float) -> _SearchResult:
-    """Maximize the negative-part fold N(t) over [0, ts).
+def _search(family: str, alpha: float) -> _SearchResult:
+    """Maximize the negative-part fold N(t) over one unit period [0, 1):
+    q(t) at symbol period ts is q(t/ts) at ts = 1, so N does not depend on
+    ts and every period shares one search.
 
     Coarse uniform grid (half period for even pulses), golden refinement of
     the leading basins, then one high-accuracy polish at the winner.  N does
@@ -157,9 +160,8 @@ def _search(family: str, alpha: float, ts: float) -> _SearchResult:
     nonnegative pulse has N = 0 at every t, so there is no search: the
     result sits at t = 0 with the full-accuracy budget k3.
     """
-    pulse = pulses.PulseSpec(family, alpha, ts)
+    pulse = pulses.PulseSpec(family, alpha)
     even = family != "xia"
-    refine_tol = REFINE_TOL_FACTOR * ts
 
     tol1, tol2 = _STAGE1_TOL, _STAGE2_TOL
     k1 = _k_for(pulse, tol1)
@@ -171,10 +173,10 @@ def _search(family: str, alpha: float, ts: float) -> _SearchResult:
 
     if even:
         n_pts = GRID_N // 2 + 1
-        grid = np.linspace(0.0, 0.5 * ts, n_pts)
+        grid = np.linspace(0.0, 0.5, n_pts)
     else:
         n_pts = GRID_N
-        grid = np.arange(n_pts) * (ts / n_pts)
+        grid = np.arange(n_pts) * (1.0 / n_pts)
     obj = _fold(pulse, grid, k1)
 
     # candidate basins: local maxima (plus boundaries); keep only the ones
@@ -200,25 +202,25 @@ def _search(family: str, alpha: float, ts: float) -> _SearchResult:
         # grid winner), measure curvature there, then widen accordingly.
         t1, _ = _series.golden_max(lambda t: surrogate(t, k1),
                                    grid[idx] - 1.5 * step,
-                                   grid[idx] + 1.5 * step, refine_tol)
+                                   grid[idx] + 1.5 * step, REFINE_TOL)
         h = 0.25 * step
         kappa = -(surrogate(t1 - h, k1) - 2.0 * surrogate(t1, k1)
                   + surrogate(t1 + h, k1)) / (h * h)
-        width = 2.0 * math.pi * tol1 / kappa if kappa > 0.0 else 0.125 * ts
-        width = min(max(width, 2.0 * step), 0.125 * ts)
+        width = 2.0 * math.pi * tol1 / kappa if kappa > 0.0 else 0.125
+        width = min(max(width, 2.0 * step), 0.125)
         refined.append(_series.golden_max(lambda t: surrogate(t, k2),
-                                          t1 - width, t1 + width, refine_tol))
+                                          t1 - width, t1 + width, REFINE_TOL))
     best_stage2 = max(v for _, v in refined)
 
     # polish every candidate the stage-2 error cannot separate from the
     # leader, then decide on the polished values; a parabolic top-up on the
     # full-accuracy surface absorbs the residual argmax displacement.  The
-    # winner is refolded only if wrapping into [0, ts) moved it.
+    # winner is refolded only if wrapping into [0, 1) moved it.
     best = None
     for t_c, v_c in refined:
         if v_c < best_stage2 - 5.0 * tol2:
             continue
-        h = 1e-4 * ts
+        h = 1e-4
         tri = [t_c - h, t_c, t_c + h]
         polished = [surrogate(t, k3) for t in tri]
         v0, v1, v2 = polished
@@ -230,7 +232,7 @@ def _search(family: str, alpha: float, ts: float) -> _SearchResult:
                 polished.append(surrogate(t_v, k3))
         i_best = int(np.argmax(polished))
         t_best = tri[i_best]
-        t_wrap = abs(t_best) % ts if even else t_best % ts
+        t_wrap = abs(t_best) % 1.0 if even else t_best % 1.0
         val = (polished[i_best] if t_wrap == t_best
                else surrogate(t_wrap, k3))
         if best is None or val > best.value:
@@ -244,14 +246,20 @@ def required_bias(pulse: pulses.PulseSpec,
 
     mu = scale * max_t [2 N(t) + w F(t)] with w = 1 - ratio.  F is the
     constant q_bar unless c1 != 0, and then N = 0 and w F peaks at t = 0
-    or ts/2 by the sign of w.
+    or ts/2 by the sign of w.  Both folds are taken on the unit period,
+    so mu does not depend on ts and only argmax_t scales with it.  Levels
+    whose mu overflows raise ``DomainError``.
     """
     scale = constellation.a_hat - constellation.midpoint
     w = 1.0 - constellation.midpoint / scale
-    res = _search(pulse.family, pulse.alpha, pulse.ts)
-    t = 0.5 * pulse.ts if w < 0.0 and _c1(pulse) else res.t_star
-    mu = scale * (2.0 * res.value + w * float(_signed(pulse, t)))
-    return BiasSolution(mu=mu, argmax_t=t, k_trunc=res.k_trunc)
+    unit = pulses.PulseSpec(pulse.family, pulse.alpha)
+    res = _search(pulse.family, pulse.alpha)
+    t = 0.5 if w < 0.0 and _c1(unit) else res.t_star
+    mu = scale * (2.0 * res.value + w * float(_signed(unit, t)))
+    if not math.isfinite(mu):
+        raise DomainError(f"the bias of levels {constellation.levels} "
+                          f"overflows to {mu}")
+    return BiasSolution(mu=mu, argmax_t=t * pulse.ts, k_trunc=res.k_trunc)
 
 
 def clear_caches():

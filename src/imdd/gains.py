@@ -42,37 +42,18 @@ class GainPoint:
     q_zero: float
 
 
-@dataclass(frozen=True)
-class GainFailure:
-    """A grid point that could not be evaluated, with the reason."""
-
-    scenario: str
-    receiver: str
-    pulse: str
-    alpha: float
-    m: int
-    error: str
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    points: list[GainPoint]
-    failures: list[GainFailure]
-
-
-def _avg_power_factor(pulse: pulses.PulseSpec,
-                      constellation: _bias.Constellation) -> tuple[float, float]:
-    """(mu, mu + E{a} q_bar): bias and average power per unit amplitude."""
-    meta = pulses.metadata(pulse)
-    mu = _bias.required_bias(pulse, constellation).mu
-    return mu, mu + constellation.mean * meta.q_bar
+def _avg_power(pulse: pulses.PulseSpec,
+               constellation: _bias.Constellation) -> float:
+    """mu + E{a} q_bar: the average power per unit amplitude."""
+    return (_bias.required_bias(pulse, constellation).mu
+            + constellation.mean * pulses.metadata(pulse).q_bar)
 
 
 def gain_equal_eye(pulse: pulses.PulseSpec,
                    constellation: _bias.Constellation) -> float:
     """Gain in dB at equal eye opening (sampling receiver)."""
     q_zero = link.front_end(pulse, "sampling").h0
-    mu, power = _avg_power_factor(pulse, constellation)
+    power = _avg_power(pulse, constellation)
     return 10.0 * math.log10(constellation.delta_a * q_zero / (2.0 * power))
 
 
@@ -94,14 +75,22 @@ def gain_equal_ser(receiver: str, pulse: pulses.PulseSpec,
                    p_err: float) -> float:
     """Gain in dB at equal symbol error rate and equal bit rate."""
     ratio = amp_ratio_equal_ser(receiver, pulse, constellation, p_err)
-    mu, power = _avg_power_factor(pulse, constellation)
-    return 10.0 * math.log10(ratio * 0.5 / power)
+    return 10.0 * math.log10(ratio * 0.5 / _avg_power(pulse, constellation))
+
+
+def _check_scenario(scenario: str, p_err: float | None) -> None:
+    if scenario not in SCENARIOS:
+        raise DomainError(f"scenario must be one of {SCENARIOS}, "
+                          f"not {scenario!r}")
+    if scenario == "equal-ser" and p_err is None:
+        raise DomainError("the equal-ser scenario needs p_err")
 
 
 def gain_point(scenario: str, receiver: str, pulse: pulses.PulseSpec,
                constellation: _bias.Constellation,
                p_err: float | None = None) -> GainPoint:
     """One fully populated curve point for either scenario."""
+    _check_scenario(scenario, p_err)
     meta = pulses.metadata(pulse)
     if scenario == "equal-eye":
         if receiver != "sampling":
@@ -145,7 +134,11 @@ def gain_grid(scenario: str, pulse_set, alphas, m_set,
     """``grid`` over families x alpha x M x receivers, keyed
     ``(scenario, receiver, pulse, alpha, m)``.  Without ``receivers`` each
     family gets every receiver valid for it; a family with none yields one
-    failure keyed ``(scenario, "", pulse, None, None)``."""
+    failure keyed ``(scenario, "", pulse, None, None)``.  An unknown
+    scenario, or equal-ser without ``p_err``, fails the whole grid: it
+    raises ``DomainError`` before the first point."""
+    _check_scenario(scenario, p_err)
+
     def point(scenario, receiver, family, alpha, m):
         return gain_point(scenario, receiver,
                           pulses.PulseSpec(family, alpha, ts),
@@ -161,32 +154,3 @@ def gain_grid(scenario: str, pulse_set, alphas, m_set,
                                 for alpha in alphas for m in m_set
                                 for receiver in fam_receivers))
 
-
-def sweep(scenario: str, pulse_set, alpha_grid, m_set,
-          p_err: float | None = None, *, receivers=None,
-          ts: float = 1.0) -> SweepResult:
-    """Evaluate a gain curve grid; per-point failures are recorded, not
-    raised.  Points come back sorted by b_tb and always include the
-    reference configuration (sinc^2, OOK, sampling) as a marker row."""
-    if scenario not in SCENARIOS:
-        raise DomainError(f"scenario must be one of {SCENARIOS}")
-    if scenario == "equal-ser" and p_err is None:
-        raise DomainError("equal-ser sweeps need p_err")
-    alpha_grid = [float(a) for a in alpha_grid]
-    if not alpha_grid:
-        raise DomainError("empty alpha grid")
-    results = list(gain_grid(scenario, pulse_set, alpha_grid, m_set, p_err,
-                             receivers, ts))
-    if not any(isinstance(p, GainPoint)
-               and (p.pulse, p.m, p.receiver) == ("s2", 2, "sampling")
-               for _, p in results):
-        results += gain_grid(scenario, ["s2"], alpha_grid[:1], [2], p_err,
-                             ["sampling"], ts)
-    points = sorted((res for _, res in results if isinstance(res, GainPoint)),
-                    key=lambda p: (p.b_tb, p.pulse, p.alpha, p.m, p.receiver))
-    failures = [GainFailure(scn, receiver, family,
-                            math.nan if alpha is None else alpha, m or 0,
-                            str(exc))
-                for (scn, receiver, family, alpha, m), exc in results
-                if not isinstance(exc, GainPoint)]
-    return SweepResult(points=points, failures=failures)

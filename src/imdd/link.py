@@ -23,6 +23,7 @@ ISI and is refused.
 from __future__ import annotations
 
 import math
+import numbers
 import statistics
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -38,6 +39,15 @@ RECEIVERS = ("sampling", "matched")
 MC_CHUNK = 16384
 MC_MIN_SYMBOLS = 10_000
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
+
+
+def require_count(name: str, value, minimum: int) -> None:
+    """Raise ``DomainError`` unless ``value`` is an integer (numpy's too)
+    and >= ``minimum``."""
+    if not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, not {value!r}")
+    if value < minimum:
+        raise DomainError(f"{name} must be >= {minimum}")
 
 
 def require_nonnegative(name: str, value: float) -> None:
@@ -101,7 +111,7 @@ class LinkConfig:
         require_nonnegative("amplitude a", self.a)
         require_nonnegative("n0", self.n0)
         require_positive("gain", self.gain)
-        require_nonnegative("seed", self.seed)
+        require_count("seed", self.seed, 0)
         front_end(self.pulse, self.receiver)
 
 
@@ -116,32 +126,10 @@ class SerEstimate:
     p_analytic: float
 
 
-def _front_end(cfg: LinkConfig) -> FrontEnd:
-    return front_end(cfg.pulse, cfg.receiver)
-
-
 def noise_sigma(cfg: LinkConfig) -> float:
     """Receiver-sample noise standard deviation."""
-    return cfg.gain * math.sqrt(cfg.n0 * _front_end(cfg).noise)
-
-
-def _required_mu(cfg: LinkConfig) -> float:
-    return _bias.required_bias(cfg.pulse, cfg.constellation).mu
-
-
-def noise_free_levels(cfg: LinkConfig) -> np.ndarray:
-    """Closed-form receiver sample for each constellation level."""
-    fe = _front_end(cfg)
-    levels = np.asarray(cfg.constellation.levels)
-    return cfg.a * cfg.gain * (_required_mu(cfg) * fe.dc + levels * fe.h0)
-
-
-def _taps(cfg: LinkConfig) -> tuple[float, float, np.ndarray]:
-    """(dc, gain, h) of the symbol-rate model: the taps vanish at k != 0,
-    so h is the single tap [q(0)] or [Eq]."""
-    fe = _front_end(cfg)
-    return (_required_mu(cfg) * fe.dc, cfg.a * cfg.gain,
-            fe.response(cfg.pulse, [0.0]))
+    noise = front_end(cfg.pulse, cfg.receiver).noise
+    return cfg.gain * math.sqrt(cfg.n0 * noise)
 
 
 def _fast_len(n: int) -> int:
@@ -177,21 +165,17 @@ def fftconvolve(in1, in2) -> np.ndarray:
     return full[start:start + in1.size]
 
 
-def receiver_samples(cfg: LinkConfig, symbols, *, noise: bool = True,
-                     rng: np.random.Generator | None = None) -> np.ndarray:
-    """Receiver output r(i ts) for a block of symbols; the required bias is
-    applied internally.  With noise on, i.i.d. Gaussian samples of standard
-    deviation noise_sigma(cfg) are added."""
-    symbols = np.asarray(symbols, dtype=float)
-    dc, gain, h = _taps(cfg)
-    det = fftconvolve(symbols, h)  # fresh, so dc and gain go in in place
-    det += dc
-    det *= gain
-    if not noise:
-        return det
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    return det + rng.normal(0.0, noise_sigma(cfg), det.size)
+def receiver_samples(cfg: LinkConfig, symbols) -> np.ndarray:
+    """Noise-free receiver output r(i ts) for a block of symbols; the
+    required bias is applied internally.  The taps vanish at k != 0, so
+    h is the single tap [q(0)] or [Eq]."""
+    fe = front_end(cfg.pulse, cfg.receiver)
+    h = fe.response(cfg.pulse, [0.0])
+    # fresh, so dc and gain go in in place
+    det = fftconvolve(np.asarray(symbols, dtype=float), h)
+    det += _bias.required_bias(cfg.pulse, cfg.constellation).mu * fe.dc
+    det *= cfg.a * cfg.gain
+    return det
 
 
 def _q_func(x: float) -> float:
@@ -211,7 +195,7 @@ def _detection_arg(cfg: LinkConfig) -> float:
     level spacing over the noise standard deviation."""
     if cfg.n0 == 0.0:
         return math.inf
-    fe = _front_end(cfg)
+    fe = front_end(cfg.pulse, cfg.receiver)
     return (cfg.a * cfg.constellation.delta_a * fe.h0
             / (2.0 * math.sqrt(cfg.n0 * fe.noise)))
 
@@ -234,7 +218,7 @@ def amplitude_for_ser(cfg: LinkConfig, p_err: float) -> float:
     if not 0.0 < p_err < (m - 1) / m:
         raise DomainError("p_err out of range for this PAM order")
     arg = q_inverse(p_err * m / (2.0 * (m - 1)))
-    fe = _front_end(cfg)
+    fe = front_end(cfg.pulse, cfg.receiver)
     return 2.0 * math.sqrt(cfg.n0 * fe.noise) * arg / (c.delta_a * fe.h0)
 
 
@@ -256,15 +240,15 @@ def monte_carlo_ser(cfg: LinkConfig, n_symbols: int,
     batch their budget.  ``target`` (>= 1) optionally stops early once that
     many symbol errors have accumulated (at chunk granularity).  A sample
     sent on level i is correct when it falls in (edges[i], edges[i + 1]],
-    with edges the midpoints between the noise-free levels and +-inf at
-    the ends; so a sample on a threshold goes to the lower symbol.
+    with edges the midpoints between the levels' noise-free samples and
+    +-inf at the ends; so a sample on a threshold goes to the lower symbol.
+    Those samples come from one ``receiver_samples`` call per estimate.
     """
-    if n_symbols < MC_MIN_SYMBOLS:
-        raise DomainError(f"n_symbols must be >= {MC_MIN_SYMBOLS}")
+    require_count("n_symbols", n_symbols, MC_MIN_SYMBOLS)
     if target is not None and not target >= 1:
         raise DomainError(f"target must be >= 1, not {target}")
     levels = np.asarray(cfg.constellation.levels)
-    table = noise_free_levels(cfg)
+    table = receiver_samples(cfg, levels)
     edges = np.concatenate(([-np.inf], 0.5 * (table[:-1] + table[1:]),
                             [np.inf]))
     sigma = noise_sigma(cfg)
@@ -277,7 +261,7 @@ def monte_carlo_ser(cfg: LinkConfig, n_symbols: int,
         m = min(MC_CHUNK, n_symbols - consumed)
         rng = np.random.default_rng(child)
         idx = rng.integers(0, levels.size, size=m)
-        r = receiver_samples(cfg, levels[idx], noise=False)
+        r = table[idx]
         if sigma > 0:
             r += rng.normal(0.0, sigma, size=m)
         errors += _interval_errors(edges, idx, r)

@@ -182,7 +182,7 @@ def evaluate(pulse: PulseSpec, t):
 def metadata(pulse: PulseSpec) -> PulseMetadata:
     """Mean q_bar, peak q(0), bandwidth B*Ts, energy ratio Eq/Ts and the
     Nyquist / root-Nyquist / nonnegative flags, all in closed form; cached
-    per spec, since the receiver model asks several times per chunk."""
+    per spec, since the bias, receiver and gain models ask again and again."""
     a = pulse.alpha
     half = (1.0 + a) / 2.0
     table = {

@@ -108,10 +108,9 @@ def synthesize(pulse: pulses.PulseSpec, constellation: _bias.Constellation,
     (``guard_mode="random"``) or set to the sign-matched worst case for
     ``adversarial_phase`` (``guard_mode="adversarial"``).
     """
-    if rate < MIN_RATE:
-        raise DomainError(f"rate must be >= {MIN_RATE}")
+    link.require_count("rate", rate, MIN_RATE)
     link.require_nonnegative("amplitude a", a)
-    link.require_nonnegative("seed", seed)
+    link.require_count("seed", seed, 0)
     _require_finite_bias(mu)
     symbols = np.asarray(symbols, dtype=float)
     if symbols.ndim != 1 or symbols.size == 0:
@@ -123,8 +122,7 @@ def synthesize(pulse: pulses.PulseSpec, constellation: _bias.Constellation,
     g_min = pulses.effective_guard(pulse)
     if guard is None:
         guard = g_min
-    elif guard < g_min:
-        raise DomainError(f"guard={guard} insufficient; pulse needs >= {g_min}")
+    link.require_count("guard", guard, g_min)
 
     n = symbols.size
     if guard_mode == "random":
@@ -175,13 +173,11 @@ def eye_diagram(pulse: pulses.PulseSpec, constellation: _bias.Constellation,
     passes the bandlimited waveform unchanged, and the closed-form rho of
     the root-Nyquist pulses for the matched one.
     """
-    if n_traces < 1:
-        raise DomainError("n_traces must be >= 1")
-    if rate < 1:
-        raise DomainError("rate must be >= 1")
+    link.require_count("n_traces", n_traces, 1)
+    link.require_count("rate", rate, 1)
     link.require_nonnegative("amplitude a", a)
     link.require_positive("gain", gain)
-    link.require_nonnegative("seed", seed)
+    link.require_count("seed", seed, 0)
     fe = link.front_end(pulse, receiver)
 
     mu = _bias.required_bias(pulse, constellation).mu

@@ -52,6 +52,15 @@ class TestConstellation:
         with pytest.raises(DomainError):
             bias.Constellation.pam(1)
 
+    @pytest.mark.parametrize("m", [2.5, 4.0, "4"])
+    def test_pam_order_is_an_integer(self, m):
+        # range(2.5) would raise a bare TypeError
+        with pytest.raises(DomainError, match="PAM order must be an integer"):
+            bias.Constellation.pam(m)
+
+    def test_pam_order_accepts_numpy_integers(self):
+        assert bias.Constellation.pam(np.int64(4)) == bias.Constellation.pam(4)
+
     def test_needs_two_levels(self):
         with pytest.raises(DomainError):
             bias.Constellation((0.0,))
@@ -125,6 +134,28 @@ class TestRequiredBias:
         for levels in ((0.0, 1.0), (-1.0, 1.0), (1.0, 2.0)):
             bias.required_bias(p, bias.Constellation(levels))
         assert bias._search.cache_info().misses == 1
+
+    @pytest.mark.parametrize("ts", [1e-3, 2.5, 1e306])
+    @pytest.mark.parametrize("family, levels", [
+        ("rc", (0.0, 1.0)), ("xia", (0.0, 1.0, 2.0, 3.0)),
+        ("pl", (-1.0, 1.0)), ("src", (1.0, 2.0))])
+    def test_bias_does_not_depend_on_ts(self, family, levels, ts):
+        # q at period ts is q(t/ts) at period 1; at ts = 1e306 the fold's
+        # shifts t - j ts would overflow to a nan bias
+        c = bias.Constellation(levels)
+        unit = bias.required_bias(pulses.PulseSpec(family, 0.5), c)
+        sol = bias.required_bias(pulses.PulseSpec(family, 0.5, ts), c)
+        assert sol.mu == unit.mu
+        assert sol.argmax_t == unit.argmax_t * ts
+        assert sol.k_trunc == unit.k_trunc
+
+    @pytest.mark.parametrize("levels", [
+        (-1.7e308, 1.7e308), (-1.79e308, -1e308)])
+    def test_overflowing_levels_are_a_domain_error(self, levels):
+        # finite levels whose bias overflows gave mu = inf or nan
+        with pytest.raises(DomainError, match="overflows"):
+            bias.required_bias(pulses.PulseSpec("rc", 0.5),
+                               bias.Constellation(levels))
 
     def test_divergent_tail_raises_before_any_fold(self, monkeypatch):
         # the budget check comes first, so a failing search costs no fold

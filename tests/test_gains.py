@@ -149,90 +149,86 @@ class TestValidReceivers:
         assert gains.valid_receivers("src", "equal-eye") == ("sampling",)
 
 
+def _sweep(*args, **kwargs):
+    """gain_grid's points, and its failures as (key, error text) with keys
+    (scenario, receiver, pulse, alpha, m)."""
+    results = list(gains.gain_grid(*args, **kwargs))
+    points = [res for _, res in results if isinstance(res, gains.GainPoint)]
+    failures = [(key, str(res)) for key, res in results
+                if not isinstance(res, gains.GainPoint)]
+    return points, failures
+
+
 class TestSweep:
-    def test_validation(self):
+    @pytest.mark.parametrize("scenario, p_err", [
+        ("equal-power", None), ("equal-power", 1e-6), ("equal-ser", None)])
+    @pytest.mark.parametrize("call", [
+        lambda scenario, p_err: gains.gain_point(
+            scenario, "sampling", pulses.PulseSpec("rc", 0.5), OOK, p_err),
+        lambda scenario, p_err: list(gains.gain_grid(
+            scenario, ["rc"], [0.5], [2], p_err))],
+        ids=["gain_point", "gain_grid"])
+    def test_scenario_checks(self, call, scenario, p_err):
+        # an unknown scenario must not pass for equal-ser, and equal-ser
+        # without p_err must not end in a bare TypeError
         with pytest.raises(DomainError):
-            gains.sweep("equal-power", ["rc"], [0.5], [2])
-        with pytest.raises(DomainError):
-            gains.sweep("equal-ser", ["rc"], [0.5], [2])   # missing p_err
-        with pytest.raises(DomainError):
-            gains.sweep("equal-eye", ["rc"], [], [2])
-
-    def test_reference_row_injected(self):
-        res = gains.sweep("equal-eye", ["rc"], [0.5], [2])
-        refs = [p for p in res.points if p.pulse == "s2" and p.m == 2]
-        assert len(refs) == 1
-        assert refs[0].gain_db == 0.0
-        assert len(res.points) == 2
-
-    def test_no_duplicate_reference(self):
-        res = gains.sweep("equal-eye", ["s2", "rc"], [0.5], [2])
-        s2_rows = [p for p in res.points if p.pulse == "s2"]
-        assert len(s2_rows) == 1
+            call(scenario, p_err)
 
     def test_unsupported_family_is_recorded_not_raised(self):
-        res = gains.sweep("equal-eye", ["rrc"], [0.5], [2])
-        assert len(res.failures) == 1
-        assert res.failures[0].pulse == "rrc"
-        # only the injected reference remains
-        assert [p.pulse for p in res.points] == ["s2"]
+        points, failures = _sweep("equal-eye", ["rrc"], [0.5], [2])
+        assert [key[2] for key, _ in failures] == ["rrc"]
+        assert points == []
 
     def test_forced_receiver_failures_are_per_point(self):
-        res = gains.sweep("equal-ser", ["rrc"], [0.4, 0.6], [2], 1e-6,
-                          receivers=("sampling",))
-        assert len(res.failures) == 2
-        assert all(f.receiver == "sampling" for f in res.failures)
-        assert [p.pulse for p in res.points] == ["s2"]
+        points, failures = _sweep("equal-ser", ["rrc"], [0.4, 0.6], [2],
+                                  1e-6, receivers=("sampling",))
+        assert len(failures) == 2
+        assert all(key[1] == "sampling" for key, _ in failures)
+        assert points == []
 
     def test_equal_eye_rejects_the_matched_receiver(self):
         # equal eye is defined for the sampling receiver only; a forced
         # matched receiver must not yield a row holding the sampling gain
-        res = gains.sweep("equal-eye", ["rc"], [0.5], [2],
-                          receivers=("matched",))
-        assert [(f.pulse, f.receiver) for f in res.failures] == [
+        points, failures = _sweep("equal-eye", ["rc"], [0.5], [2],
+                                  receivers=("matched",))
+        assert [(key[2], key[1]) for key, _ in failures] == [
             ("rc", "matched")]
-        assert "sampling receiver only" in res.failures[0].error
-        assert [p.pulse for p in res.points] == ["s2"]
+        assert "sampling receiver only" in failures[0][1]
+        assert points == []
 
     def test_p_err_beyond_the_reference_is_recorded_not_raised(self):
         # OOK never reaches SER 1/2, so neither can the reference; 4-PAM
         # alone would allow up to 3/4
         for p_err in (0.5, 0.6):
-            res = gains.sweep("equal-ser", ["rc"], [0.5], [4], p_err)
-            assert res.points == []
-            assert [(f.pulse, f.m) for f in res.failures] == [
-                ("rc", 4), ("s2", 2)]
-            assert all(f.error == "p_err out of range for this PAM order"
-                       for f in res.failures)
+            points, failures = _sweep("equal-ser", ["rc"], [0.5], [4], p_err)
+            assert points == []
+            assert [(key[2], key[4]) for key, _ in failures] == [("rc", 4)]
+            assert all(error == "p_err out of range for this PAM order"
+                       for _, error in failures)
 
     def test_infinite_ts_is_recorded_not_raised(self):
-        res = gains.sweep("equal-eye", ["rc"], [0.5], [2], ts=math.inf)
-        assert res.points == []
-        assert all("must be positive and finite" in f.error
-                   for f in res.failures)
-        assert len(res.failures) == 2
-
-    def test_points_sorted_by_bandwidth(self):
-        res = gains.sweep("equal-eye", ["rc", "s2"], [0.3, 0.6], [2, 4])
-        keys = [(p.b_tb, p.pulse, p.alpha, p.m, p.receiver)
-                for p in res.points]
-        assert keys == sorted(keys)
+        points, failures = _sweep("equal-eye", ["rc"], [0.5], [2],
+                                  ts=math.inf)
+        assert points == []
+        assert all("must be positive and finite" in error
+                   for _, error in failures)
+        assert len(failures) == 1
 
     def test_divergent_point_is_recorded_not_raised(self):
         # xia at alpha=0.01 needs more fold terms than the cap; the points
         # before and after it survive
-        res = gains.sweep("equal-ser", ["xia"], [0.01, 0.5], [2], 1e-6)
-        assert sorted((p.pulse, p.alpha, p.receiver) for p in res.points) == [
-            ("s2", 0.01, "sampling"), ("xia", 0.5, "matched"),
-            ("xia", 0.5, "sampling")]
-        assert sorted((f.alpha, f.receiver) for f in res.failures) == [
+        points, failures = _sweep("equal-ser", ["xia"], [0.01, 0.5], [2],
+                                  1e-6)
+        assert sorted((p.pulse, p.alpha, p.receiver) for p in points) == [
+            ("xia", 0.5, "matched"), ("xia", 0.5, "sampling")]
+        assert sorted((key[3], key[1]) for key, _ in failures) == [
             (0.01, "matched"), (0.01, "sampling")]
-        assert all(f.error.startswith("series needs K=")
-                   for f in res.failures)
+        assert all(error.startswith("series needs K=")
+                   for _, error in failures)
 
     def test_dual_receiver_family_gets_both_rows(self):
-        res = gains.sweep("equal-ser", ["xia"], [0.5], [2], 1e-6)
-        xia_rows = [(p.receiver, p.gain_db) for p in res.points
+        points, _ = _sweep("equal-ser", ["xia"], [0.5], [2], 1e-6)
+        xia_rows = [(p.receiver, p.gain_db) for p in points
                     if p.pulse == "xia"]
         assert sorted(r for r, _ in xia_rows) == ["matched", "sampling"]
         # the two receivers give genuinely different gains for xia

@@ -59,8 +59,17 @@ class TestConfigValidation:
     def test_seed_nonnegative(self):
         # numpy would refuse it only once Monte Carlo draws, with a bare
         # ValueError
-        with pytest.raises(DomainError, match="seed must be finite and non"):
+        with pytest.raises(DomainError, match="seed must be >= 0"):
             cfg_rc(seed=-1)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "3"])
+    def test_seed_is_an_integer(self, seed):
+        # numpy's SeedSequence would raise a bare TypeError
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            cfg_rc(seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert cfg_rc(seed=np.uint32(7)).seed == 7
 
     def test_isi_guards(self):
         # root-only pulse on the sampling receiver
@@ -144,6 +153,15 @@ class TestNoiseSigma:
         assert link.noise_sigma(cfg) == pytest.approx(expected, rel=1e-12)
 
 
+def _closed_form(cfg):
+    """The noise-free sample of each level, a gain (mu dc + levels h(0)),
+    written from the front end's closed-form constants."""
+    fe = link.front_end(cfg.pulse, cfg.receiver)
+    mu = bias.required_bias(cfg.pulse, cfg.constellation).mu
+    levels = np.asarray(cfg.constellation.levels)
+    return cfg.a * cfg.gain * (mu * fe.dc + levels * fe.h0)
+
+
 class TestNoiseFreeLevels:
     def test_sampling_closed_form(self):
         m = 4
@@ -152,8 +170,8 @@ class TestNoiseFreeLevels:
                               constellation=c, a=2.0, gain=1.5)
         mu = bias.required_bias(cfg.pulse, c).mu
         expected = 2.0 * 1.5 * (mu + np.arange(m))     # q(0) = 1
-        np.testing.assert_allclose(link.noise_free_levels(cfg), expected,
-                                   rtol=1e-12)
+        np.testing.assert_allclose(link.receiver_samples(cfg, c.levels),
+                                   expected, rtol=1e-12)
 
     def test_matched_closed_form(self):
         cfg = cfg_rrc(a=2.0, gain=0.7)
@@ -162,12 +180,12 @@ class TestNoiseFreeLevels:
         eq = meta.energy_ratio * cfg.pulse.ts
         expected = 2.0 * 0.7 * (mu * meta.q_bar * cfg.pulse.ts
                                 + np.array([0.0, 1.0]) * eq)
-        np.testing.assert_allclose(link.noise_free_levels(cfg), expected,
-                                   rtol=1e-12)
+        np.testing.assert_allclose(link.receiver_samples(cfg, OOK.levels),
+                                   expected, rtol=1e-12)
 
     def test_levels_strictly_increasing(self):
         for cfg in (cfg_rc(), cfg_rrc()):
-            lv = link.noise_free_levels(cfg)
+            lv = link.receiver_samples(cfg, cfg.constellation.levels)
             assert np.all(np.diff(lv) > 0)
 
 
@@ -176,9 +194,8 @@ class TestReceiverSamples:
         cfg = cfg_rc(a=1.7, gain=0.9)
         rng = np.random.default_rng(3)
         sym = rng.choice(np.asarray(OOK.levels), size=200)
-        det = link.receiver_samples(cfg, sym, noise=False)
-        table = link.noise_free_levels(cfg)
-        expected = table[sym.astype(int)]
+        det = link.receiver_samples(cfg, sym)
+        expected = _closed_form(cfg)[sym.astype(int)]
         np.testing.assert_allclose(det, expected, rtol=0, atol=1e-9)
 
     def test_matched_receiver_is_isi_free(self):
@@ -188,32 +205,17 @@ class TestReceiverSamples:
                               constellation=c, receiver="matched")
         rng = np.random.default_rng(4)
         sym = rng.choice(np.asarray(c.levels), size=64)
-        det = link.receiver_samples(cfg, sym, noise=False)
-        expected = link.noise_free_levels(cfg)[sym.astype(int)]
+        det = link.receiver_samples(cfg, sym)
+        expected = _closed_form(cfg)[sym.astype(int)]
         np.testing.assert_allclose(det, expected, rtol=0, atol=1e-6)
 
     def test_matched_xia_consistency(self):
         cfg = link.LinkConfig(pulse=pulses.PulseSpec("xia", 0.5),
                               constellation=OOK, receiver="matched")
         sym = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0] * 4)
-        det = link.receiver_samples(cfg, sym, noise=False)
-        expected = link.noise_free_levels(cfg)[sym.astype(int)]
+        det = link.receiver_samples(cfg, sym)
+        expected = _closed_form(cfg)[sym.astype(int)]
         np.testing.assert_allclose(det, expected, rtol=0, atol=1e-5)
-
-    def test_noise_reproducible_from_config_seed(self):
-        cfg = cfg_rc(seed=123)
-        sym = np.zeros(50)
-        a = link.receiver_samples(cfg, sym)
-        b = link.receiver_samples(cfg, sym)
-        np.testing.assert_array_equal(a, b)
-
-    def test_caller_rng_advances(self):
-        cfg = cfg_rc()
-        rng = np.random.default_rng(9)
-        sym = np.zeros(50)
-        a = link.receiver_samples(cfg, sym, rng=rng)
-        b = link.receiver_samples(cfg, sym, rng=rng)
-        assert not np.array_equal(a, b)
 
 
 class TestQInverse:
@@ -321,6 +323,15 @@ class TestMonteCarlo:
         with pytest.raises(DomainError):
             link.monte_carlo_ser(cfg_rc(), 100)
 
+    @pytest.mark.parametrize("n", [10_000.5, 20_000.0])
+    def test_budget_is_an_integer(self, n):
+        with pytest.raises(DomainError, match="n_symbols must be an integer"):
+            link.monte_carlo_ser(cfg_rc(), n)
+
+    def test_numpy_integer_budget_accepted(self):
+        est = link.monte_carlo_ser(cfg_rc(a=3.0), np.int64(20_000))
+        assert est == link.monte_carlo_ser(cfg_rc(a=3.0), 20_000)
+
     def test_deterministic(self):
         cfg = cfg_rc(a=3.0, seed=5)
         assert link.monte_carlo_ser(cfg, 20_000) == \
@@ -372,9 +383,11 @@ class TestMonteCarlo:
 
 def _searchsorted_ser(cfg, n_symbols, target=None):
     """The chunk loop of monte_carlo_ser as it stood before the interval
-    rule: the same draws, decided with searchsorted over the thresholds."""
+    rule and the one-call sample table: the same draws, each chunk's
+    samples from its own receiver_samples call, decided with searchsorted
+    over thresholds between the closed-form levels."""
     levels = np.asarray(cfg.constellation.levels)
-    table = link.noise_free_levels(cfg)
+    table = _closed_form(cfg)
     thresholds = 0.5 * (table[:-1] + table[1:])
     sigma = link.noise_sigma(cfg)
     children = np.random.SeedSequence(cfg.seed).spawn(
@@ -384,7 +397,7 @@ def _searchsorted_ser(cfg, n_symbols, target=None):
         m = min(link.MC_CHUNK, n_symbols - consumed)
         rng = np.random.default_rng(child)
         idx = rng.integers(0, levels.size, size=m)
-        det = link.receiver_samples(cfg, levels[idx], noise=False)
+        det = link.receiver_samples(cfg, levels[idx])
         r = det + rng.normal(0.0, sigma, size=m) if sigma > 0 else det
         detected = np.searchsorted(thresholds, r, side="left")
         errors += int(np.count_nonzero(detected != idx))
@@ -480,7 +493,7 @@ class TestIntervalDecisions:
 
     def test_chunks_reach_the_module_attributes(self, monkeypatch):
         # a tracer wraps link.receiver_samples and link.fftconvolve by
-        # name; the Monte Carlo loop must call both once per chunk
+        # name; a Monte Carlo call must reach both, once for all its chunks
         calls = {"receiver_samples": 0, "fftconvolve": 0}
 
         def counted(name):
@@ -494,7 +507,7 @@ class TestIntervalDecisions:
         for name in calls:
             monkeypatch.setattr(link, name, counted(name))
         link.monte_carlo_ser(cfg_rc(a=2.0), 3 * link.MC_CHUNK)
-        assert calls == {"receiver_samples": 3, "fftconvolve": 3}
+        assert calls == {"receiver_samples": 1, "fftconvolve": 1}
 
     @pytest.mark.parametrize("target", [0, -5, 0.5])
     def test_target_below_one_is_refused(self, target):

@@ -63,8 +63,25 @@ class TestSynthesizeValidation:
 
     def test_seed_nonnegative(self):
         # numpy's generator would raise a bare ValueError
-        with pytest.raises(DomainError, match="seed must be finite and non"):
+        with pytest.raises(DomainError, match="seed must be >= 0"):
             waveform.synthesize(RC6, OOK, [0.0, 1.0], mu=MU_RC6, seed=-1)
+
+    @pytest.mark.parametrize("setting", [
+        {"seed": 1.5}, {"seed": 2.0}, {"rate": 32.5}, {"rate": 32.0},
+        {"guard": 12.5}], ids=["seed-1.5", "seed-2.0", "rate-32.5",
+                               "rate-32.0", "guard-12.5"])
+    def test_counts_are_integers(self, setting):
+        # numpy would raise a bare TypeError
+        (name, value), = setting.items()
+        with pytest.raises(DomainError, match=f"{name} must be an integer"):
+            waveform.synthesize(RC6, OOK, [0.0, 1.0], mu=MU_RC6, **setting)
+
+    def test_numpy_integer_counts_accepted(self):
+        a = waveform.synthesize(RC6, OOK, [0.0, 1.0], mu=MU_RC6,
+                                rate=np.int64(32), seed=np.uint8(4))
+        b = waveform.synthesize(RC6, OOK, [0.0, 1.0], mu=MU_RC6, rate=32,
+                                seed=4)
+        np.testing.assert_array_equal(a.samples, b.samples)
 
 
 class TestSynthesizeGrid:
@@ -296,8 +313,26 @@ class TestEyeDiagram:
             waveform.eye_diagram(RC6, OOK, n_traces=0)
 
     def test_seed_nonnegative(self):
-        with pytest.raises(DomainError, match="seed must be finite and non"):
+        with pytest.raises(DomainError, match="seed must be >= 0"):
             waveform.eye_diagram(RC6, OOK, n_traces=4, seed=-1)
+
+    @pytest.mark.parametrize("setting", [
+        {"seed": 1.5}, {"n_traces": 2.5}, {"n_traces": 4.0},
+        {"rate": 2.5}, {"rate": 16.0}],
+        ids=["seed-1.5", "n_traces-2.5", "n_traces-4.0", "rate-2.5",
+             "rate-16.0"])
+    def test_counts_are_integers(self, setting):
+        # numpy would raise a bare TypeError
+        (name, value), = setting.items()
+        kwargs = {"n_traces": 4, **setting}
+        with pytest.raises(DomainError, match=f"{name} must be an integer"):
+            waveform.eye_diagram(RC6, OOK, **kwargs)
+
+    def test_numpy_integer_counts_accepted(self):
+        a = waveform.eye_diagram(RC6, OOK, n_traces=np.int32(4),
+                                 rate=np.int64(16), seed=np.uint16(3))
+        b = waveform.eye_diagram(RC6, OOK, n_traces=4, rate=16, seed=3)
+        np.testing.assert_array_equal(a.traces, b.traces)
 
     @pytest.mark.parametrize("rate", [0, -2])
     def test_rate_at_least_one(self, rate):
