@@ -92,9 +92,9 @@ class Constellation:
     def order(self) -> int:
         return len(self.levels)
 
-    def is_uniform_pam(self, rtol: float = 1e-12) -> bool:
+    def is_uniform_pam(self) -> bool:
         d = np.diff(self.levels)
-        return bool(np.all(np.abs(d - d[0]) <= rtol * abs(d[0])))
+        return bool(np.all(np.abs(d - d[0]) <= 1e-12 * abs(d[0])))
 
 
 @dataclass(frozen=True)

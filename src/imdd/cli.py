@@ -208,8 +208,7 @@ def _run_gain(cfg: argparse.Namespace, t0: float) -> int:
 
     results = gains.gain_grid(cfg.scenario, sorted(cfg.pulse_set),
                               cfg.alphas, cfg.m_values, cfg.p_err,
-                              (cfg.receiver,) if cfg.receiver else None,
-                              cfg.ts)
+                              (cfg.receiver,) if cfg.receiver else None)
     return _finish(cfg, _GAIN_HEADER,
                    ((key, res if isinstance(res, ImddError) else astuple(res))
                     for key, res in results), t0, extra)
@@ -220,7 +219,9 @@ def _run_waveform(cfg: argparse.Namespace, t0: float) -> int:
     pulse = pulses.PulseSpec(family, alpha, cfg.ts)
     constellation = bias.Constellation.pam(m)
     mu = bias.required_bias(pulse, constellation).mu
-    rng = np.random.default_rng(cfg.seed)
+    # synthesize draws the guards from default_rng(seed); a child of the
+    # seed gives the block a stream of its own
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
     symbols = rng.choice(np.asarray(constellation.levels),
                          size=cfg.n_symbols)
     grid = waveform.synthesize(pulse, constellation, symbols, mu=mu,
@@ -331,18 +332,22 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, parents=[files])
     common.add_argument("-o", "--output",
                         help="output file (default <out-dir>/<command>.<format>)")
-    common.add_argument("--ts", type=float, default=1.0,
-                        help="symbol period (default 1.0)")
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--pulse", required=True, help="comma list or 'all'")
     common.add_argument("--m", default="2", help="comma list of PAM orders")
     alpha_help = "value or start:stop:step"
 
-    p = sub.add_parser("bias", parents=[common],
+    # the symbol period and the seed only where they change the artifact
+    timed = argparse.ArgumentParser(add_help=False, parents=[common])
+    timed.add_argument("--ts", type=float, default=1.0,
+                       help="symbol period (default 1.0)")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[timed])
+    seeded.add_argument("--seed", type=int, default=0)
+
+    p = sub.add_parser("bias", parents=[timed],
                        help="minimum DC bias over a pulse/alpha/M grid")
     p.add_argument("--alpha", required=True, help=alpha_help)
 
-    p = sub.add_parser("waveform", parents=[common],
+    p = sub.add_parser("waveform", parents=[seeded],
                        help="sampled transmit intensity for random symbols")
     p.add_argument("--alpha", required=True, help=alpha_help)
     p.add_argument("--n", type=int, default=16, dest="n_symbols",
@@ -350,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--rate", type=int, default=32)
 
-    p = sub.add_parser("eye", parents=[common],
+    p = sub.add_parser("eye", parents=[seeded],
                        help="noise-free receiver eye traces")
     p.add_argument("--alpha", required=True, help=alpha_help)
     p.add_argument("--receiver", choices=link.RECEIVERS, default="sampling")
@@ -358,7 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--rate", type=int, default=32)
 
-    p = sub.add_parser("ser", parents=[common],
+    p = sub.add_parser("ser", parents=[seeded],
                        help="Monte Carlo symbol error rate")
     p.add_argument("--alpha", default="0.5", help=alpha_help)
     p.add_argument("--receiver", choices=link.RECEIVERS, default="sampling")
@@ -390,7 +395,7 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     args.m_values = _parse_m_list(args.m)
     args.output = args.output or os.path.join(
         args.out_dir, f"{args.command}.{args.format}")
-    if not 0.0 < args.ts < math.inf:
+    if "ts" in args and not 0.0 < args.ts < math.inf:
         raise DomainError("ts must be positive and finite")
     if "p_err" in args:
         if not 0.0 < args.p_err < 1.0:
@@ -401,7 +406,7 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     for name in ("a", "n0"):
         if name in args:
             link.require_nonnegative(f"--{name}", getattr(args, name))
-    if args.seed < 0:
+    if "seed" in args and args.seed < 0:
         raise DomainError("--seed must be >= 0")
     if args.command == "ser":
         if args.n_symbols < link.MC_MIN_SYMBOLS:

@@ -130,7 +130,7 @@ def grid(point, keys):
 
 
 def gain_grid(scenario: str, pulse_set, alphas, m_set,
-              p_err: float | None = None, receivers=None, ts: float = 1.0):
+              p_err: float | None = None, receivers=None):
     """``grid`` over families x alpha x M x receivers, keyed
     ``(scenario, receiver, pulse, alpha, m)``.  Without ``receivers`` each
     family gets every receiver valid for it; a family with none yields one
@@ -141,7 +141,7 @@ def gain_grid(scenario: str, pulse_set, alphas, m_set,
 
     def point(scenario, receiver, family, alpha, m):
         return gain_point(scenario, receiver,
-                          pulses.PulseSpec(family, alpha, ts),
+                          pulses.PulseSpec(family, alpha),
                           _bias.Constellation.pam(m), p_err)
 
     for family in pulse_set:

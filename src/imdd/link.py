@@ -1,11 +1,11 @@
 """Simulated link: AWGN, sampling / matched-filter receivers, SER.
 
 Both receivers share one symbol-rate model.  ``front_end`` says what a
-receiver makes of a unit-gain signal: its response h, the output dc of a
+receiver makes of a unit-amplitude signal: its response h, the output dc of a
 unit bias, h(0) and the noise variance per unit N0.  The noise-free output
 at t = i ts is then
 
-    r_i = A gain (mu dc + sum_k a_{i-k} h(k ts))
+    r_i = A (mu dc + sum_k a_{i-k} h(k ts))
 
 * sampling: h = q, dc = 1, h(0) = q(0) and noise N0 B.  The ideal lowpass
   front end passes the bandlimited waveform unchanged, so no filter
@@ -57,14 +57,8 @@ def require_nonnegative(name: str, value: float) -> None:
                           f"not {value}")
 
 
-def require_positive(name: str, value: float) -> None:
-    """Raise ``DomainError`` unless ``value`` is finite and > 0."""
-    if not 0.0 < value < math.inf:
-        raise DomainError(f"{name} must be finite and positive, not {value}")
-
-
 class FrontEnd(NamedTuple):
-    """A receiver's response to a unit-gain signal (see the module notes)."""
+    """A receiver's response to a unit-amplitude signal (module notes)."""
 
     response: Callable     # h(pulse, t): pulses.evaluate or autocorrelation
     dc: float              # output of a unit bias
@@ -96,21 +90,18 @@ def front_end(pulse: pulses.PulseSpec, receiver: str) -> FrontEnd:
 @dataclass(frozen=True)
 class LinkConfig:
     """One receiver chain: pulse, constellation, receiver kind, amplitude,
-    noise density and the receiver's gain (G0 of the sampling front end or
-    zeta of the matched filter)."""
+    noise density and the Monte Carlo seed."""
 
     pulse: pulses.PulseSpec
     constellation: _bias.Constellation
     receiver: str = "sampling"
     a: float = 1.0
     n0: float = 1.0
-    gain: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
         require_nonnegative("amplitude a", self.a)
         require_nonnegative("n0", self.n0)
-        require_positive("gain", self.gain)
         require_count("seed", self.seed, 0)
         front_end(self.pulse, self.receiver)
 
@@ -129,7 +120,7 @@ class SerEstimate:
 def noise_sigma(cfg: LinkConfig) -> float:
     """Receiver-sample noise standard deviation."""
     noise = front_end(cfg.pulse, cfg.receiver).noise
-    return cfg.gain * math.sqrt(cfg.n0 * noise)
+    return math.sqrt(cfg.n0 * noise)
 
 
 def _fast_len(n: int) -> int:
@@ -171,10 +162,10 @@ def receiver_samples(cfg: LinkConfig, symbols) -> np.ndarray:
     h is the single tap [q(0)] or [Eq]."""
     fe = front_end(cfg.pulse, cfg.receiver)
     h = fe.response(cfg.pulse, [0.0])
-    # fresh, so dc and gain go in in place
+    # fresh, so dc and a go in in place
     det = fftconvolve(np.asarray(symbols, dtype=float), h)
     det += _bias.required_bias(cfg.pulse, cfg.constellation).mu * fe.dc
-    det *= cfg.a * cfg.gain
+    det *= cfg.a
     return det
 
 
@@ -200,20 +191,24 @@ def _detection_arg(cfg: LinkConfig) -> float:
             / (2.0 * math.sqrt(cfg.n0 * fe.noise)))
 
 
-def analytic_ser(cfg: LinkConfig) -> float:
-    """Closed-form SER 2 (M-1)/M Q(arg) for uniform M-PAM."""
+def _uniform_pam(cfg: LinkConfig) -> _bias.Constellation:
+    """The constellation, or ``UnsupportedError`` unless it is uniform PAM,
+    the only one the closed-form SER covers."""
     c = cfg.constellation
     if not c.is_uniform_pam():
         raise UnsupportedError("closed-form SER requires uniform PAM levels")
-    m = c.order
+    return c
+
+
+def analytic_ser(cfg: LinkConfig) -> float:
+    """Closed-form SER 2 (M-1)/M Q(arg) for uniform M-PAM."""
+    m = _uniform_pam(cfg).order
     return 2.0 * (m - 1) / m * _q_func(_detection_arg(cfg))
 
 
 def amplitude_for_ser(cfg: LinkConfig, p_err: float) -> float:
     """Amplitude A at which analytic_ser would equal p_err."""
-    c = cfg.constellation
-    if not c.is_uniform_pam():
-        raise UnsupportedError("closed-form SER requires uniform PAM levels")
+    c = _uniform_pam(cfg)
     m = c.order
     if not 0.0 < p_err < (m - 1) / m:
         raise DomainError("p_err out of range for this PAM order")

@@ -31,7 +31,6 @@ class WaveformGrid:
     rate: int
     t0: float
     ts: float
-    symbol_span: tuple[int, int]
 
     @property
     def t(self) -> np.ndarray:
@@ -44,9 +43,6 @@ class EyeTraces:
 
     traces: np.ndarray          # (n_traces, 2*rate)
     t: np.ndarray               # [0, 2*ts)
-    receiver_kind: str
-    pulse: pulses.PulseSpec
-    constellation: _bias.Constellation
 
 
 @dataclass(frozen=True)
@@ -140,8 +136,7 @@ def synthesize(pulse: pulses.PulseSpec, constellation: _bias.Constellation,
     full = np.concatenate([left, symbols, right])
     train = _superpose(pulses.evaluate, pulse, full, rate)
     return WaveformGrid(samples=a * (mu + train), rate=rate,
-                        t0=-guard * pulse.ts, ts=pulse.ts,
-                        symbol_span=(0, n))
+                        t0=-guard * pulse.ts, ts=pulse.ts)
 
 
 def optical_powers(pulse: pulses.PulseSpec,
@@ -165,10 +160,10 @@ def optical_powers(pulse: pulses.PulseSpec,
 def eye_diagram(pulse: pulses.PulseSpec, constellation: _bias.Constellation,
                 receiver: str = "sampling", n_traces: int = 64,
                 rate: int = 32, seed: int = 0, *,
-                a: float = 1.0, gain: float = 1.0) -> EyeTraces:
+                a: float = 1.0) -> EyeTraces:
     """Noise-free receiver output sliced into overlapping 2*ts windows.
 
-    The output is gain*a*(mu*dc + sum a_k h(t - k ts)) with the receiver's
+    The output is a*(mu*dc + sum a_k h(t - k ts)) with the receiver's
     ``link.front_end``: h = q for the sampling receiver, whose front end
     passes the bandlimited waveform unchanged, and the closed-form rho of
     the root-Nyquist pulses for the matched one.
@@ -176,7 +171,6 @@ def eye_diagram(pulse: pulses.PulseSpec, constellation: _bias.Constellation,
     link.require_count("n_traces", n_traces, 1)
     link.require_count("rate", rate, 1)
     link.require_nonnegative("amplitude a", a)
-    link.require_positive("gain", gain)
     link.require_count("seed", seed, 0)
     fe = link.front_end(pulse, receiver)
 
@@ -189,7 +183,7 @@ def eye_diagram(pulse: pulses.PulseSpec, constellation: _bias.Constellation,
     full = np.concatenate([rng.choice(levels, size=guard), block,
                            rng.choice(levels, size=guard)])
     train = _superpose(fe.response, pulse, full, rate)
-    r = gain * a * (mu * fe.dc + train)
+    r = a * (mu * fe.dc + train)
 
     win = 2 * rate
     traces = np.empty((n_traces, win))
@@ -197,5 +191,4 @@ def eye_diagram(pulse: pulses.PulseSpec, constellation: _bias.Constellation,
         lo = (guard + i) * rate
         traces[i] = r[lo:lo + win]
     t = np.arange(win) * (pulse.ts / rate)
-    return EyeTraces(traces=traces, t=t, receiver_kind=receiver,
-                     pulse=pulse, constellation=constellation)
+    return EyeTraces(traces=traces, t=t)

@@ -429,7 +429,7 @@ def test_criterion_11b_oversampling_error_reduction():
         sym = np.random.default_rng(4).choice(np.asarray(PAM4.levels),
                                               size=256)
         det = link.receiver_samples(cfg, sym)
-        # a = gain = 1: mu dc + level Eq, with dc = q_bar ts, Eq = E ts
+        # a = 1: mu dc + level Eq, with dc = q_bar ts, Eq = E ts
         meta = pulses.metadata(cfg.pulse)
         mu = bias.required_bias(cfg.pulse, PAM4).mu
         table = (mu * meta.q_bar + np.asarray(PAM4.levels)
@@ -440,10 +440,9 @@ def test_criterion_11b_oversampling_error_reduction():
     # (c) xia is asymmetric, so its rho = Eq rc relies on the correlation's
     # symmetry, not the pulse's; ts != 1 checks the time scaling
     p = pulses.PulseSpec("xia", 0.5, 2.0)
-    rate, n_traces, seed, gain = 16, 8, 3, 0.8
+    rate, n_traces, seed, a = 16, 8, 3, 0.8
     eye = waveform.eye_diagram(p, PAM4, receiver="matched",
-                               n_traces=n_traces, rate=rate, seed=seed,
-                               gain=gain)
+                               n_traces=n_traces, rate=rate, seed=seed, a=a)
     # the eye's symbols: the block first, then the left and right guards
     guard = pulses.effective_guard(p)
     rng = np.random.default_rng(seed)
@@ -459,6 +458,6 @@ def test_criterion_11b_oversampling_error_reduction():
     train = (rho[inv.reshape(lags.shape)] * full).sum(axis=2)
     meta = pulses.metadata(p)
     mu = bias.required_bias(p, PAM4).mu
-    expected = gain * (mu * meta.q_bar * p.ts + train)
+    expected = a * (mu * meta.q_bar * p.ts + train)
     err = float(np.max(np.abs(eye.traces - expected)))
     assert err < 1e-9 * p.ts, err          # measured 3.3e-10

@@ -1,14 +1,16 @@
 """Command-line interface: artifact formats, exit codes, reproducibility."""
 
+import argparse
 import csv
 import json
 import pathlib
 import warnings
 
+import numpy as np
 import pytest
 
 import imdd
-from imdd import cli, pulses
+from imdd import cli, pulses, waveform
 
 
 def read_lines(path):
@@ -226,6 +228,30 @@ class TestWaveformCommand:
                        "-o", str(out)])
         assert rc == 2
 
+    def test_block_does_not_repeat_the_guards(self, tmp_path, monkeypatch):
+        # synthesize draws its random guards from default_rng(seed), so the
+        # block must come from another stream
+        calls, real = [], waveform.synthesize
+
+        def spy(pulse, constellation, symbols, **kw):
+            calls.append((pulse, constellation, symbols, kw["seed"]))
+            return real(pulse, constellation, symbols, **kw)
+
+        monkeypatch.setattr(waveform, "synthesize", spy)
+        for seed in range(4):
+            assert cli.main(["waveform", "--pulse", "rc", "--alpha", "0.6",
+                             "--m", "4", "--seed", str(seed),
+                             "-o", str(tmp_path / "w.csv")]) == 0
+        assert len(calls) == 4
+        for pulse, constellation, symbols, seed in calls:
+            guard = pulses.effective_guard(pulse)
+            rng = np.random.default_rng(seed)
+            levels = np.asarray(constellation.levels)
+            left = rng.choice(levels, size=guard)
+            right = rng.choice(levels, size=guard)
+            assert not np.array_equal(symbols[:guard], left), seed
+            assert not np.array_equal(symbols[guard:2 * guard], right), seed
+
 
 class TestEyeCommand:
     def test_rows(self, tmp_path):
@@ -384,13 +410,23 @@ class TestArgumentErrors:
                     imdd.errors.NumericalDivergenceError):
             assert issubclass(exc, imdd.errors.ImddError)
 
-    # the bias accuracy is fixed: its former settings are unknown options
+    # a setting that would change nothing is an unknown option: the bias
+    # accuracy is fixed, bias and gain draw no random numbers, and the
+    # gain does not depend on the symbol period
     @pytest.mark.parametrize("argv", [
         ["reproduce", "fig9"],
         ["bias", "--pulse", "rc", "--alpha", "0.5", "--tail-tol", "1e-9"],
-        ["bias", "--pulse", "rc", "--alpha", "0.5", "--grid-n", "8192"]],
-        ids=["figure", "tail-tol", "grid-n"])
-    def test_unknown_figure_is_a_usage_error(self, argv):
+        ["bias", "--pulse", "rc", "--alpha", "0.5", "--grid-n", "8192"],
+        ["bias", "--pulse", "rc", "--alpha", "0.5", "--seed", "1"],
+        ["gain", "--scenario", "equal-ser", "--pulse", "rc", "--alpha",
+         "0.5", "--seed", "1"],
+        ["gain", "--scenario", "equal-ser", "--pulse", "rc", "--alpha",
+         "0.5", "--ts", "2"]],
+        ids=["figure", "tail-tol", "grid-n", "bias-seed", "gain-seed",
+             "gain-ts"])
+    def test_unknown_figure_is_a_usage_error(self, argv, tmp_path,
+                                             monkeypatch):
+        monkeypatch.chdir(tmp_path)     # a run that is accepted writes here
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
@@ -410,6 +446,68 @@ class TestArgumentErrors:
             project = config.read_configuration(pyproject)["project"]
         assert project["version"] == imdd.__version__
         assert project["name"] == "imdd"
+
+
+# One small run per command, and for each of its options (but the output
+# routing) a value that differs from the run's own.
+BASE_ARGV = {
+    "bias": ["bias", "--pulse", "rc", "--alpha", "0.5"],
+    "waveform": ["waveform", "--pulse", "rc", "--alpha", "0.6", "--n", "4"],
+    "eye": ["eye", "--pulse", "xia", "--alpha", "0.5", "--traces", "4"],
+    "ser": ["ser", "--pulse", "xia", "--alpha", "0.5", "--n", "20000"],
+    # --perr cancels from the OOK rows: the reference is OOK too
+    "gain": ["gain", "--scenario", "equal-ser", "--pulse", "xia",
+             "--alpha", "0.5", "--m", "2,4"],
+}
+OTHER_VALUE = [
+    ("bias", "--pulse", "pl"), ("bias", "--alpha", "0.6"),
+    ("bias", "--m", "4"), ("bias", "--ts", "2"),
+    ("waveform", "--pulse", "src"), ("waveform", "--alpha", "0.7"),
+    ("waveform", "--m", "4"), ("waveform", "--ts", "2"),
+    ("waveform", "--seed", "1"), ("waveform", "--n", "5"),
+    ("waveform", "--a", "2"), ("waveform", "--rate", "16"),
+    ("eye", "--pulse", "rc"), ("eye", "--alpha", "0.6"),
+    ("eye", "--m", "4"), ("eye", "--ts", "2"), ("eye", "--seed", "1"),
+    ("eye", "--receiver", "matched"), ("eye", "--traces", "5"),
+    ("eye", "--a", "2"), ("eye", "--rate", "16"),
+    ("ser", "--pulse", "rc"), ("ser", "--alpha", "0.6"),
+    ("ser", "--m", "4"), ("ser", "--ts", "2"), ("ser", "--seed", "1"),
+    ("ser", "--receiver", "matched"), ("ser", "--a", "2"),
+    ("ser", "--n0", "2"), ("ser", "--n", "30000"),
+    # the first 16384-symbol chunk already holds an error
+    ("ser", "--target", "1"),
+    ("gain", "--scenario", "equal-eye"), ("gain", "--pulse", "rc"),
+    ("gain", "--alpha", "0.6"), ("gain", "--m", "4"),
+    ("gain", "--receiver", "sampling"), ("gain", "--perr", "1e-3"),
+]
+ROUTING = {"help", "output", "out_dir", "format"}
+
+
+def _parser_options():
+    """{command: its long option names}, the output routing left out."""
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {command: {a.option_strings[-1] for a in p._actions
+                      if a.option_strings and a.dest not in ROUTING}
+            for command, p in sub.choices.items()}
+
+
+class TestEveryOptionHasAnEffect:
+    def test_the_table_covers_every_option(self):
+        options = _parser_options()
+        table = {command: {o for c, o, _ in OTHER_VALUE if c == command}
+                 for command in options}
+        assert table == options
+
+    @pytest.mark.parametrize("command, option, value", OTHER_VALUE,
+                             ids=[f"{c}{o}" for c, o, _ in OTHER_VALUE])
+    def test_other_value_changes_the_rows(self, tmp_path, command, option,
+                                          value):
+        base, other = tmp_path / "base.csv", tmp_path / "other.csv"
+        argv = BASE_ARGV[command]
+        assert cli.main([*argv, "-o", str(base)]) == 0
+        assert cli.main([*argv, option, value, "-o", str(other)]) == 0
+        assert data_rows(base) != data_rows(other)
 
 
 class TestReproduce:

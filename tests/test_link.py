@@ -50,12 +50,6 @@ class TestConfigValidation:
         with pytest.raises(DomainError, match="finite and nonnegative"):
             cfg_rc(**{field: value})
 
-    @pytest.mark.parametrize("gain", [-1.0, 0.0, math.nan, math.inf])
-    def test_gain_finite_and_positive(self, gain):
-        # a gain <= 0 or NaN leaves every decision interval empty (p = 1)
-        with pytest.raises(DomainError, match="gain must be finite and pos"):
-            cfg_rc(gain=gain)
-
     def test_seed_nonnegative(self):
         # numpy would refuse it only once Monte Carlo draws, with a bare
         # ValueError
@@ -140,26 +134,27 @@ class TestFrontEnd:
 
 
 class TestNoiseSigma:
+    # the noise enters after the amplitude, so sigma does not scale with a
     def test_sampling_uses_pulse_bandwidth(self):
-        cfg = cfg_rc(n0=2.0, gain=1.5)
+        cfg = cfg_rc(n0=2.0, a=1.5)
         meta = pulses.metadata(cfg.pulse)
-        expected = 1.5 * math.sqrt(2.0 * meta.b_ts / cfg.pulse.ts)
+        expected = math.sqrt(2.0 * meta.b_ts / cfg.pulse.ts)
         assert link.noise_sigma(cfg) == pytest.approx(expected, rel=1e-12)
 
     def test_matched_uses_pulse_energy(self):
-        cfg = cfg_rrc(n0=2.0, gain=0.5)
+        cfg = cfg_rrc(n0=2.0, a=0.5)
         eq = pulses.metadata(cfg.pulse).energy_ratio * cfg.pulse.ts
-        expected = 0.5 * math.sqrt(2.0 * eq / 2.0)
+        expected = math.sqrt(2.0 * eq / 2.0)
         assert link.noise_sigma(cfg) == pytest.approx(expected, rel=1e-12)
 
 
 def _closed_form(cfg):
-    """The noise-free sample of each level, a gain (mu dc + levels h(0)),
+    """The noise-free sample of each level, a (mu dc + levels h(0)),
     written from the front end's closed-form constants."""
     fe = link.front_end(cfg.pulse, cfg.receiver)
     mu = bias.required_bias(cfg.pulse, cfg.constellation).mu
     levels = np.asarray(cfg.constellation.levels)
-    return cfg.a * cfg.gain * (mu * fe.dc + levels * fe.h0)
+    return cfg.a * (mu * fe.dc + levels * fe.h0)
 
 
 class TestNoiseFreeLevels:
@@ -167,19 +162,19 @@ class TestNoiseFreeLevels:
         m = 4
         c = bias.Constellation.pam(m)
         cfg = link.LinkConfig(pulse=pulses.PulseSpec("rc", 0.5),
-                              constellation=c, a=2.0, gain=1.5)
+                              constellation=c, a=3.0)
         mu = bias.required_bias(cfg.pulse, c).mu
-        expected = 2.0 * 1.5 * (mu + np.arange(m))     # q(0) = 1
+        expected = 3.0 * (mu + np.arange(m))           # q(0) = 1
         np.testing.assert_allclose(link.receiver_samples(cfg, c.levels),
                                    expected, rtol=1e-12)
 
     def test_matched_closed_form(self):
-        cfg = cfg_rrc(a=2.0, gain=0.7)
+        cfg = cfg_rrc(a=1.4)
         meta = pulses.metadata(cfg.pulse)
         mu = bias.required_bias(cfg.pulse, OOK).mu
         eq = meta.energy_ratio * cfg.pulse.ts
-        expected = 2.0 * 0.7 * (mu * meta.q_bar * cfg.pulse.ts
-                                + np.array([0.0, 1.0]) * eq)
+        expected = 1.4 * (mu * meta.q_bar * cfg.pulse.ts
+                          + np.array([0.0, 1.0]) * eq)
         np.testing.assert_allclose(link.receiver_samples(cfg, OOK.levels),
                                    expected, rtol=1e-12)
 
@@ -191,7 +186,7 @@ class TestNoiseFreeLevels:
 
 class TestReceiverSamples:
     def test_sampling_receiver_is_isi_free(self):
-        cfg = cfg_rc(a=1.7, gain=0.9)
+        cfg = cfg_rc(a=1.53)
         rng = np.random.default_rng(3)
         sym = rng.choice(np.asarray(OOK.levels), size=200)
         det = link.receiver_samples(cfg, sym)
