@@ -219,13 +219,18 @@ def _run_waveform(cfg: argparse.Namespace, t0: float) -> int:
     pulse = pulses.PulseSpec(family, alpha, cfg.ts)
     constellation = bias.Constellation.pam(m)
     mu = bias.required_bias(pulse, constellation).mu
-    # synthesize draws the guards from default_rng(seed); a child of the
-    # seed gives the block a stream of its own
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
-    symbols = rng.choice(np.asarray(constellation.levels),
-                         size=cfg.n_symbols)
-    grid = waveform.synthesize(pulse, constellation, symbols, mu=mu,
-                               a=cfg.a, rate=cfg.rate, seed=cfg.seed)
+    # the guards come from default_rng(seed), left then right, and the
+    # block from a child of the seed, a stream of its own
+    levels = np.asarray(constellation.levels)
+    guard = pulses.effective_guard(pulse)
+    guards = np.random.default_rng(cfg.seed)
+    child = np.random.SeedSequence(cfg.seed).spawn(1)[0]
+    train = np.concatenate([
+        guards.choice(levels, size=guard),
+        np.random.default_rng(child).choice(levels, size=cfg.n_symbols),
+        guards.choice(levels, size=guard)])
+    grid = waveform.synthesize(pulse, constellation, train, mu=mu, a=cfg.a,
+                               rate=cfg.rate)
     t = grid.t
     keep = (t >= 0.0) & (t < cfg.n_symbols * cfg.ts)
     rows = list(zip(t[keep].tolist(), grid.samples[keep].tolist()))

@@ -2,9 +2,11 @@
 
 The transmitted optical intensity is x(t) = A (mu + sum_k a_k q(t - k ts))
 over a finite symbol block padded by guard symbols on both sides, so that
-edge transients never touch the interior.  Superposition is carried out by
-FFT convolution of the symbol impulse train with a full-length sampled
-pulse, which is the exact shifted-sum up to float rounding.
+edge transients never touch the interior.  ``synthesize`` takes the whole
+train from its caller; ``eye_diagram`` draws its own.  Superposition is
+carried out by FFT convolution of the symbol impulse train with a
+full-length sampled pulse, which is the exact shifted-sum up to float
+rounding.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ MIN_RATE = 16
 
 @dataclass
 class WaveformGrid:
-    """Uniformly sampled x(t).  The grid spans the interior symbols plus the
-    guard on both sides: length = rate * (n_symbols + 2*guard)."""
+    """Uniformly sampled x(t).  The grid spans the whole symbol train, the
+    guards included: length = rate * len(symbols)."""
 
     samples: np.ndarray
     rate: int
@@ -60,26 +62,6 @@ def _require_finite_bias(mu: float) -> None:
         raise DomainError(f"bias mu must be finite, not {mu}")
 
 
-def adversarial_symbols(pulse: pulses.PulseSpec,
-                        constellation: _bias.Constellation,
-                        phase_t: float, k_indices,
-                        seek: str = "min") -> np.ndarray:
-    """Worst-case symbols for the time instant ``phase_t``.
-
-    ``seek="min"`` drives x(phase_t) as low as possible (top level where the
-    shifted pulse is negative, bottom level elsewhere) — the sequence that
-    attains the bias supremum.  ``seek="max"`` is the mirrored peak-seeking
-    pattern.
-    """
-    k = np.asarray(k_indices, dtype=float)
-    vals = np.atleast_1d(pulses.evaluate(pulse, phase_t - k * pulse.ts))
-    if seek == "min":
-        return np.where(vals < 0.0, constellation.a_hat, constellation.a_check)
-    if seek == "max":
-        return np.where(vals < 0.0, constellation.a_check, constellation.a_hat)
-    raise DomainError(f"unknown seek {seek!r}")
-
-
 def _superpose(response, pulse: pulses.PulseSpec, full_symbols: np.ndarray,
                rate: int) -> np.ndarray:
     """sum_k a_k h(t - k ts) on the uniform grid covering the symbols, where
@@ -95,22 +77,20 @@ def _superpose(response, pulse: pulses.PulseSpec, full_symbols: np.ndarray,
 
 def synthesize(pulse: pulses.PulseSpec, constellation: _bias.Constellation,
                symbols, *, mu: float, a: float = 1.0, rate: int = 32,
-               guard: int | None = None, guard_mode: str = "random",
-               adversarial_phase: float = 0.0, adversarial_seek: str = "min",
-               seed: int = 0) -> WaveformGrid:
-    """Sample x(t) = a*(mu + sum a_k q(t - k ts)) over the block plus guards.
+               guard: int | None = None) -> WaveformGrid:
+    """Sample x(t) = a*(mu + sum a_k q(t - k ts)) over a given symbol train.
 
-    Guard symbols are drawn uniformly from the constellation
-    (``guard_mode="random"``) or set to the sign-matched worst case for
-    ``adversarial_phase`` (``guard_mode="adversarial"``).
+    ``symbols`` is the whole train: a block with ``guard`` symbols on each
+    side (``pulses.effective_guard`` by default), which the caller draws.
+    The grid starts at t0 = -guard*ts, so t = 0 is the block's first
+    symbol.  No random numbers are drawn here.
     """
     link.require_count("rate", rate, MIN_RATE)
     link.require_nonnegative("amplitude a", a)
-    link.require_count("seed", seed, 0)
     _require_finite_bias(mu)
     symbols = np.asarray(symbols, dtype=float)
-    if symbols.ndim != 1 or symbols.size == 0:
-        raise DomainError("symbols must be a nonempty 1-D sequence")
+    if symbols.ndim != 1:
+        raise DomainError("symbols must be a 1-D sequence")
     levels = np.asarray(constellation.levels)
     if not np.all(np.isclose(symbols[:, None], levels[None, :],
                              rtol=0.0, atol=1e-9).any(axis=1)):
@@ -119,22 +99,12 @@ def synthesize(pulse: pulses.PulseSpec, constellation: _bias.Constellation,
     if guard is None:
         guard = g_min
     link.require_count("guard", guard, g_min)
+    guard = int(guard)          # -guard of an unsigned numpy count wraps
+    if symbols.size <= 2 * guard:
+        raise DomainError(f"symbols must hold a block between {guard} guard "
+                          f"symbols on each side, not {symbols.size} in all")
 
-    n = symbols.size
-    if guard_mode == "random":
-        rng = np.random.default_rng(seed)
-        left = rng.choice(levels, size=guard)
-        right = rng.choice(levels, size=guard)
-    elif guard_mode == "adversarial":
-        left = adversarial_symbols(pulse, constellation, adversarial_phase,
-                                   np.arange(-guard, 0), adversarial_seek)
-        right = adversarial_symbols(pulse, constellation, adversarial_phase,
-                                    np.arange(n, n + guard), adversarial_seek)
-    else:
-        raise DomainError(f"unknown guard_mode {guard_mode!r}")
-
-    full = np.concatenate([left, symbols, right])
-    train = _superpose(pulses.evaluate, pulse, full, rate)
+    train = _superpose(pulses.evaluate, pulse, symbols, rate)
     return WaveformGrid(samples=a * (mu + train), rate=rate,
                         t0=-guard * pulse.ts, ts=pulse.ts)
 

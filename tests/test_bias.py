@@ -1,13 +1,15 @@
 """Worst-case bias search over the folded pulse-train sums.
 
-The frozen mu anchors below were produced by an independent brute-force
-oracle (dense t-grid over one period, plain partial sums with a 50,000-term
-half-width, parabolic vertex refinement) before being copied here; the
-search under test must land on them to ~1e-8.
+The mu anchors below are closed forms where the maths gives one: (sqrt 2 -
+1)/2 for btn and pl at alpha = 0.5, 4/pi - 1 for rrc and xia at alpha = 1.
+The others were produced by an independent brute-force oracle (dense
+t-grid over one period, plain partial sums with a 50,000-term half-width,
+parabolic vertex refinement) before being copied here.  The search under
+test must land on them to ~1e-8.  The oracles of ``oracles.py`` check pl
+exactly and the other families from below.
 """
 
 import json
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from imdd import _series, bias, cli, pulses
 from imdd.errors import DomainError, NumericalDivergenceError
+
+from oracles import partial_sum_bias, pl_exact_bias, pl_exact_fold
 
 OOK = bias.Constellation.pam(2)
 # levels {-1, 1}: midpoint 0 and a_hat 1, so the bias is the peak of sum |q|
@@ -28,11 +32,14 @@ def _abs_fold(pulse, t, tol=bias.DEFAULT_TAIL_TOL):
             + 2.0 * bias._fold(pulse, t, bias._k_for(pulse, tol)))
 
 
-# (family, alpha) -> minimum OOK bias, brute-force values
+# (family, alpha) -> minimum OOK bias: closed forms where there is one,
+# brute-force values otherwise
 MU_ANCHORS = {
     ("rc", 0.5): 0.250263596842,
-    ("btn", 0.5): 0.207106781111,
-    ("pl", 0.5): 0.207106781187,
+    ("btn", 0.5): (np.sqrt(2.0) - 1.0) / 2.0,
+    ("pl", 0.5): (np.sqrt(2.0) - 1.0) / 2.0,
+    ("rrc", 1.0): 4.0 / np.pi - 1.0,
+    ("xia", 1.0): 4.0 / np.pi - 1.0,
     ("poly", 0.5): 0.303498467784,
     ("rrc", 0.5): 0.246937572479,
     ("xia", 0.5): 0.411551090590,
@@ -349,40 +356,6 @@ def test_mu_bounded_by_peak_sum(alpha):
     assert -1e-9 <= mu <= 0.5 * peak + 1e-9
 
 
-def _pl_exact_fold(alpha, t):
-    """N(t) = sum_k max(-q(t - k), 0) for pl, q(u) = sinc(u) sinc(alpha u),
-    summed exactly at rational alpha = n/d, independent of imdd.
-
-    q(u - j) = s_j / (u - j)^2 with s_j = (-1)^j sin(pi u) sin(pi alpha
-    (u - j)) / (pi^2 alpha), which repeats in j with period P = 2d.  So
-    each residue class r < P keeps one sign, and its lattice sum of
-    1/(u - r - P m)^2 is pi^2 / (P^2 sin^2(pi (u - r)/P)).
-    """
-    period = 2 * Fraction(alpha).limit_denominator(1000).denominator
-    u = np.asarray(t, dtype=float)[:, None]
-    r = np.arange(period)
-    s = ((-1.0) ** r * np.sin(np.pi * u) * np.sin(np.pi * alpha * (u - r))
-         / (np.pi ** 2 * alpha))
-    lattice = np.pi ** 2 / (period * np.sin(np.pi * (u - r) / period)) ** 2
-    return (np.maximum(-s, 0.0) * lattice).sum(axis=1)
-
-
-def _pl_exact_bias(alpha):
-    """OOK bias max_t N(t) of pl: a fine grid over [0, 1/2] (N is even
-    about t = 1/2; t = 0 itself, where N = 0, is left out), then nested
-    grid refinement around its five best points."""
-    coarse = np.linspace(0.0, 0.5, 2001)[1:]
-    best = 0.0
-    for t in coarse[np.argsort(_pl_exact_fold(alpha, coarse))[-5:]]:
-        step = coarse[1] - coarse[0]
-        for _ in range(8):
-            grid = np.clip(np.linspace(t - step, t + step, 21), step, 0.5)
-            vals = _pl_exact_fold(alpha, grid)
-            t, step = grid[np.argmax(vals)], step / 10.0
-        best = max(best, float(vals.max()))
-    return best
-
-
 def test_exact_pl_fold_matches_partial_sums():
     # the class sums against a plain partial sum to |k| <= 20000, whose
     # tail is below 2 / (pi^2 alpha 20000) ~ 1.1e-5
@@ -391,7 +364,7 @@ def test_exact_pl_fold_matches_partial_sums():
     for alpha in (0.5, 0.85, 0.99):
         u = t[:, None] - k
         plain = np.maximum(-np.sinc(u) * np.sinc(alpha * u), 0.0).sum(axis=1)
-        exact = _pl_exact_fold(alpha, t)
+        exact = pl_exact_fold(alpha, t)
         assert np.all(exact >= plain)
         assert np.all(exact - plain < 2e-5)
 
@@ -407,65 +380,12 @@ _NEAR_ONE_MISS = pytest.mark.xfail(
     pytest.param(0.98, marks=_NEAR_ONE_MISS), 0.985,
     pytest.param(0.99, marks=_NEAR_ONE_MISS), 0.995])
 def test_pl_bias_reaches_the_exact_fold(alpha):
-    oracle = _pl_exact_bias(alpha)
+    oracle = pl_exact_bias(alpha)
     if alpha == 0.5:
         assert oracle == pytest.approx((np.sqrt(2.0) - 1.0) / 2.0,
                                        rel=0, abs=1e-15)
     mu = bias.required_bias(pulses.PulseSpec("pl", alpha), OOK).mu
     assert mu >= oracle - bias.DEFAULT_TAIL_TOL
-
-
-def _partial_fold(pulse, t, k):
-    """Plain partial sum of max(-q(t - j ts), 0) over |j| <= k, in slices
-    of about 200,000 terms.  Every term is >= 0, so it is a lower bound on
-    the fold N(t) whatever k is; it uses neither imdd.bias nor _series."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    total = np.zeros(t.size)
-    step = max(1, 200_000 // t.size)
-    for lo in range(-k, k + 1, step):
-        j = np.arange(lo, min(lo + step, k + 1))
-        q = pulses.evaluate(pulse, t[:, None] - j * pulse.ts)
-        total += np.maximum(-q, 0.0).sum(axis=1)
-    return total
-
-
-def _golden_argmax(f, a, b, tol):
-    """Golden-section search for a maximum of f on [a, b]."""
-    g = (np.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - g * (b - a), a + g * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - g * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + g * (b - a)
-            fd = f(d)
-    return c if fc >= fd else d
-
-
-def _partial_sum_bias(pulse, k_final):
-    """A lower bound on the OOK bias max_t N(t) of an even pulse: the three
-    best local maxima of a 257-point grid over [0, ts/2] at K = 2000, each
-    refined by golden section at K = 20,000, and the winner summed once at
-    K = k_final."""
-    grid = np.linspace(0.0, 0.5 * pulse.ts, 257)
-    vals = _partial_fold(pulse, grid, 2000)
-    padded = np.r_[-np.inf, vals, -np.inf]
-    peaks = np.flatnonzero((vals >= padded[:-2]) & (vals >= padded[2:]))
-    step = grid[1] - grid[0]
-
-    def fold(t):
-        return float(_partial_fold(pulse, np.clip(t, grid[0], grid[-1]),
-                                   20_000)[0])
-
-    best = max((fold(t), t) for t in (
-        _golden_argmax(fold, grid[i] - step, grid[i] + step, 1e-6)
-        for i in peaks[np.argsort(vals[peaks])[-3:]]))[1]
-    return float(_partial_fold(pulse, np.clip(best, grid[0], grid[-1]),
-                               k_final)[0])
 
 
 # The coarse stage's [:6] cap drops btn 0.965's winning basin (ROADMAP
@@ -487,6 +407,6 @@ def test_bias_reaches_a_partial_sum_lower_bound(family, alpha):
     # rest is far below tail_tol) bounds N from below, so the solver's mu
     # may fall short of it by tail_tol at most
     pulse = pulses.PulseSpec(family, alpha)
-    bound = _partial_sum_bias(pulse, 20_000 if family == "poly" else 10**6)
+    bound = partial_sum_bias(pulse, 20_000 if family == "poly" else 10**6)
     mu = bias.required_bias(pulse, OOK).mu
     assert mu >= bound - bias.DEFAULT_TAIL_TOL

@@ -229,28 +229,32 @@ class TestWaveformCommand:
         assert rc == 2
 
     def test_block_does_not_repeat_the_guards(self, tmp_path, monkeypatch):
-        # synthesize draws its random guards from default_rng(seed), so the
-        # block must come from another stream
-        calls, real = [], waveform.synthesize
+        # the guards come from default_rng(seed), left then right, and the
+        # block from a child of the seed, so it repeats neither guard
+        trains, real = [], waveform.synthesize
 
         def spy(pulse, constellation, symbols, **kw):
-            calls.append((pulse, constellation, symbols, kw["seed"]))
+            trains.append((pulse, constellation, symbols))
             return real(pulse, constellation, symbols, **kw)
 
         monkeypatch.setattr(waveform, "synthesize", spy)
         for seed in range(4):
             assert cli.main(["waveform", "--pulse", "rc", "--alpha", "0.6",
-                             "--m", "4", "--seed", str(seed),
+                             "--m", "4", "--n", "16", "--seed", str(seed),
                              "-o", str(tmp_path / "w.csv")]) == 0
-        assert len(calls) == 4
-        for pulse, constellation, symbols, seed in calls:
+        assert len(trains) == 4
+        for seed, (pulse, constellation, train) in enumerate(trains):
             guard = pulses.effective_guard(pulse)
-            rng = np.random.default_rng(seed)
             levels = np.asarray(constellation.levels)
+            rng = np.random.default_rng(seed)
             left = rng.choice(levels, size=guard)
             right = rng.choice(levels, size=guard)
-            assert not np.array_equal(symbols[:guard], left), seed
-            assert not np.array_equal(symbols[guard:2 * guard], right), seed
+            child = np.random.SeedSequence(seed).spawn(1)[0]
+            block = np.random.default_rng(child).choice(levels, size=16)
+            np.testing.assert_array_equal(
+                train, np.concatenate([left, block, right]))
+            assert not np.array_equal(block[:guard], left), seed
+            assert not np.array_equal(block[guard:2 * guard], right), seed
 
 
 class TestEyeCommand:

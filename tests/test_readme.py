@@ -1,11 +1,13 @@
-"""The README's command-line examples, run as written.
+"""The README's examples, run as written.
 
-Each fenced block that holds ``$ imdd ...`` lines is replayed through
-``cli.main`` in a fresh directory.  A command's output lines must match the
-block (stderr lines first, then stdout, then the exit code for a trailing
-``; echo $?``) with the elapsed time masked; a ``$ cat FILE`` line must be
-followed by the file's lines.  A README line ending in ``...`` (or in
-``..."``, an elided quoted field) matches as a prefix.
+Each ``python`` fenced block runs in a fresh directory, so an API change
+cannot leave the library quick tour stale.  Each fenced block that holds
+``$ imdd ...`` lines is replayed through ``cli.main`` in a fresh directory.
+A command's output lines must match the block (stderr lines first, then
+stdout, then the exit code for a trailing ``; echo $?``) with the elapsed
+time masked; a ``$ cat FILE`` line must be followed by the file's lines.
+A README line ending in ``...`` (or in ``..."``, an elided quoted field)
+matches as a prefix.
 """
 
 import pathlib
@@ -31,6 +33,12 @@ def _blocks():
         elif fenced:
             lines.append(line)
     return blocks
+
+
+def _python_blocks():
+    """The source of each ``python`` fenced block."""
+    text = README.read_text(encoding="utf-8")
+    return re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
 
 
 def _sessions(lines):
@@ -61,6 +69,15 @@ def _prefix(expected):
 
 def test_readme_has_examples():
     assert len(_blocks()) >= 4
+    assert len(_python_blocks()) >= 1
+
+
+@pytest.mark.parametrize("source", [
+    pytest.param(src, id=f"python-{i}")
+    for i, src in enumerate(_python_blocks(), 1)])
+def test_readme_python_block(source, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    exec(compile(source, str(README), "exec"), {})
 
 
 @pytest.mark.parametrize("lines", _blocks())

@@ -9,6 +9,23 @@ from imdd.errors import DomainError
 OOK = bias.Constellation.pam(2)
 RC6 = pulses.PulseSpec("rc", 0.6)
 MU_RC6 = 0.184566790565   # brute-force OOK bias for rc, alpha=0.6
+GUARD_RC6 = pulses.effective_guard(RC6)
+
+
+def adversarial_symbols(pulse, constellation, phase_t, k_indices):
+    """The symbols at ``k_indices`` that drive x(phase_t) lowest: the top
+    level where the shifted pulse is negative, the bottom level elsewhere.
+    This is the sequence that attains the bias supremum."""
+    k = np.asarray(k_indices, dtype=float)
+    vals = pulses.evaluate(pulse, phase_t - k * pulse.ts)
+    return np.where(vals < 0.0, constellation.a_hat, constellation.a_check)
+
+
+def random_train(constellation, n, guard, seed):
+    """``guard`` symbols on each side of an ``n``-symbol block, all drawn
+    from ``default_rng(seed)``."""
+    return np.random.default_rng(seed).choice(
+        np.asarray(constellation.levels), size=n + 2 * guard)
 
 
 class TestEffectiveGuard:
@@ -51,25 +68,21 @@ class TestSynthesizeValidation:
         with pytest.raises(DomainError, match="finite and nonnegative"):
             waveform.synthesize(RC6, OOK, [0.0, 1.0], mu=MU_RC6, a=a)
 
-    def test_unknown_guard_mode(self):
-        with pytest.raises(DomainError):
-            waveform.synthesize(RC6, OOK, [0.0, 1.0], mu=MU_RC6,
-                                guard_mode="zeros")
+    def test_train_is_longer_than_both_guards(self):
+        train = [0.0, 1.0] * GUARD_RC6
+        with pytest.raises(DomainError, match="block between"):
+            waveform.synthesize(RC6, OOK, train, mu=MU_RC6)
+        wf = waveform.synthesize(RC6, OOK, train + [1.0], mu=MU_RC6)
+        assert wf.samples.size == (2 * GUARD_RC6 + 1) * wf.rate
 
     @pytest.mark.parametrize("mu", [np.nan, np.inf, -np.inf])
     def test_bias_finite(self, mu):
         with pytest.raises(DomainError, match="bias mu must be finite"):
             waveform.synthesize(RC6, OOK, [0.0, 1.0], mu=mu)
 
-    def test_seed_nonnegative(self):
-        # numpy's generator would raise a bare ValueError
-        with pytest.raises(DomainError, match="seed must be >= 0"):
-            waveform.synthesize(RC6, OOK, [0.0, 1.0], mu=MU_RC6, seed=-1)
-
     @pytest.mark.parametrize("setting", [
-        {"seed": 1.5}, {"seed": 2.0}, {"rate": 32.5}, {"rate": 32.0},
-        {"guard": 12.5}], ids=["seed-1.5", "seed-2.0", "rate-32.5",
-                               "rate-32.0", "guard-12.5"])
+        {"rate": 32.5}, {"rate": 32.0}, {"guard": 12.5}],
+        ids=["rate-32.5", "rate-32.0", "guard-12.5"])
     def test_counts_are_integers(self, setting):
         # numpy would raise a bare TypeError
         (name, value), = setting.items()
@@ -77,18 +90,31 @@ class TestSynthesizeValidation:
             waveform.synthesize(RC6, OOK, [0.0, 1.0], mu=MU_RC6, **setting)
 
     def test_numpy_integer_counts_accepted(self):
-        a = waveform.synthesize(RC6, OOK, [0.0, 1.0], mu=MU_RC6,
-                                rate=np.int64(32), seed=np.uint8(4))
-        b = waveform.synthesize(RC6, OOK, [0.0, 1.0], mu=MU_RC6, rate=32,
-                                seed=4)
+        train = [0.0, 1.0] * (GUARD_RC6 + 1)
+        a = waveform.synthesize(RC6, OOK, train, mu=MU_RC6,
+                                rate=np.int64(32), guard=np.uint8(GUARD_RC6))
+        b = waveform.synthesize(RC6, OOK, train, mu=MU_RC6, rate=32,
+                                guard=GUARD_RC6)
         np.testing.assert_array_equal(a.samples, b.samples)
+        assert a.t0 == b.t0
+
+    def test_draws_no_random_numbers(self, monkeypatch):
+        train = random_train(OOK, 12, GUARD_RC6, 3)
+        ref = waveform.synthesize(RC6, OOK, train, mu=MU_RC6)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("synthesize drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        wf = waveform.synthesize(RC6, OOK, train, mu=MU_RC6)
+        np.testing.assert_array_equal(wf.samples, ref.samples)
 
 
 class TestSynthesizeGrid:
     def test_shape_and_time_axis(self):
         n, rate, guard = 12, 32, 10
-        wf = waveform.synthesize(RC6, OOK, [0.0, 1.0] * (n // 2), mu=MU_RC6,
-                                 rate=rate, guard=guard)
+        wf = waveform.synthesize(RC6, OOK, [0.0, 1.0] * (n // 2 + guard),
+                                 mu=MU_RC6, rate=rate, guard=guard)
         assert wf.samples.shape == ((n + 2 * guard) * rate,)
         assert wf.t0 == -guard * RC6.ts
         t = wf.t
@@ -96,18 +122,12 @@ class TestSynthesizeGrid:
         assert t[1] - t[0] == pytest.approx(RC6.ts / rate, rel=1e-12)
 
     def test_matches_direct_superposition(self):
-        """Oracle: rebuild the random guard stream and evaluate the pulse
-        train sample-by-sample straight from its definition."""
-        n, rate, guard, seed = 12, 32, 10, 7
-        symbols = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 0.0,
-                            1.0, 0.0, 1.0, 1.0, 1.0, 0.0])
-        wf = waveform.synthesize(RC6, OOK, symbols, mu=MU_RC6, a=1.5,
-                                 rate=rate, guard=guard, seed=seed)
-        rng = np.random.default_rng(seed)
-        levels = np.asarray(OOK.levels)
-        left = rng.choice(levels, size=guard)
-        right = rng.choice(levels, size=guard)
-        full = np.concatenate([left, symbols, right])
+        """Oracle: evaluate the pulse train sample-by-sample straight from
+        its definition."""
+        rate, guard = 32, 10
+        full = random_train(OOK, 12, guard, 7)
+        wf = waveform.synthesize(RC6, OOK, full, mu=MU_RC6, a=1.5,
+                                 rate=rate, guard=guard)
         k_times = (np.arange(full.size) - guard) * RC6.ts
         t = wf.t
         for i in (0, 77, 391, t.size - 1):
@@ -116,9 +136,9 @@ class TestSynthesizeGrid:
             assert wf.samples[i] == pytest.approx(direct, abs=1e-9)
 
     def test_amplitude_scales_everything(self):
-        sym = [1.0, 0.0, 1.0, 0.0]
-        w1 = waveform.synthesize(RC6, OOK, sym, mu=MU_RC6, a=1.0, seed=3)
-        w2 = waveform.synthesize(RC6, OOK, sym, mu=MU_RC6, a=2.0, seed=3)
+        train = random_train(OOK, 4, GUARD_RC6, 3)
+        w1 = waveform.synthesize(RC6, OOK, train, mu=MU_RC6, a=1.0)
+        w2 = waveform.synthesize(RC6, OOK, train, mu=MU_RC6, a=2.0)
         np.testing.assert_allclose(w2.samples, 2.0 * w1.samples, rtol=1e-12)
 
 
@@ -129,12 +149,10 @@ class TestNonnegativity:
         sol = bias.required_bias(RC6, OOK)
         n, guard = 33, 64
         phase = sol.argmax_t + (n // 2) * RC6.ts
-        symbols = waveform.adversarial_symbols(
-            RC6, OOK, phase, np.arange(n), seek="min")
-        wf = waveform.synthesize(RC6, OOK, symbols, mu=sol.mu, rate=64,
-                                 guard=guard, guard_mode="adversarial",
-                                 adversarial_phase=phase,
-                                 adversarial_seek="min")
+        train = adversarial_symbols(RC6, OOK, phase,
+                                    np.arange(-guard, n + guard))
+        wf = waveform.synthesize(RC6, OOK, train, mu=sol.mu, rate=64,
+                                 guard=guard)
         low = float(wf.samples.min())
         assert low >= -1e-9
         assert low <= 0.05           # ... while actually touching the floor
@@ -143,22 +161,19 @@ class TestNonnegativity:
         sol = bias.required_bias(RC6, OOK)
         n, guard = 33, 64
         phase = sol.argmax_t + (n // 2) * RC6.ts
-        symbols = waveform.adversarial_symbols(
-            RC6, OOK, phase, np.arange(n), seek="min")
-        wf = waveform.synthesize(RC6, OOK, symbols, mu=sol.mu - 0.05,
-                                 rate=64, guard=guard,
-                                 guard_mode="adversarial",
-                                 adversarial_phase=phase,
-                                 adversarial_seek="min")
+        train = adversarial_symbols(RC6, OOK, phase,
+                                    np.arange(-guard, n + guard))
+        wf = waveform.synthesize(RC6, OOK, train, mu=sol.mu - 0.05,
+                                 rate=64, guard=guard)
         assert float(wf.samples.min()) < -0.01
 
     def test_random_streams_stay_above_floor(self):
         sol = bias.required_bias(pulses.PulseSpec("poly", 0.4), OOK)
         p = pulses.PulseSpec("poly", 0.4)
+        guard = pulses.effective_guard(p)
         for seed in range(5):
-            rng = np.random.default_rng(seed)
-            sym = rng.choice(np.asarray(OOK.levels), size=50)
-            wf = waveform.synthesize(p, OOK, sym, mu=sol.mu, seed=seed + 99)
+            train = random_train(OOK, 50, guard, seed)
+            wf = waveform.synthesize(p, OOK, train, mu=sol.mu)
             assert float(wf.samples.min()) >= -1e-9
 
 
@@ -167,19 +182,8 @@ class TestAdversarialSymbols:
         phase = 0.5 * RC6.ts
         k = np.arange(-6, 7)
         vals = pulses.evaluate(RC6, phase - k * RC6.ts)
-        sym = waveform.adversarial_symbols(RC6, OOK, phase, k, seek="min")
+        sym = adversarial_symbols(RC6, OOK, phase, k)
         np.testing.assert_array_equal(sym, np.where(vals < 0, 1.0, 0.0))
-
-    def test_seek_max_is_complement(self):
-        phase = 0.31
-        k = np.arange(-6, 7)
-        lo = waveform.adversarial_symbols(RC6, OOK, phase, k, seek="min")
-        hi = waveform.adversarial_symbols(RC6, OOK, phase, k, seek="max")
-        np.testing.assert_array_equal(lo + hi, np.ones_like(lo))
-
-    def test_unknown_seek(self):
-        with pytest.raises(DomainError):
-            waveform.adversarial_symbols(RC6, OOK, 0.0, [0], seek="median")
 
 
 class TestOffsetInvariance:
@@ -188,17 +192,14 @@ class TestOffsetInvariance:
         c*q_bar leaves the interior of the waveform unchanged."""
         c = 0.25
         q_bar = pulses.metadata(RC6).q_bar
-        n, guard, rate, seed = 16, 2000, 32, 11
-        rng = np.random.default_rng(5)
-        base_sym = rng.choice(np.asarray(OOK.levels), size=n)
+        n, guard, rate = 16, 2000, 32
+        base = random_train(OOK, n, guard, 5)
         shifted = bias.Constellation((c, 1.0 + c))
 
-        w_base = waveform.synthesize(
-            RC6, OOK, base_sym, mu=MU_RC6 + c * q_bar,
-            rate=rate, guard=guard, seed=seed)
-        w_shift = waveform.synthesize(
-            RC6, shifted, base_sym + c, mu=MU_RC6,
-            rate=rate, guard=guard, seed=seed)
+        w_base = waveform.synthesize(RC6, OOK, base, mu=MU_RC6 + c * q_bar,
+                                     rate=rate, guard=guard)
+        w_shift = waveform.synthesize(RC6, shifted, base + c, mu=MU_RC6,
+                                      rate=rate, guard=guard)
 
         sl = slice(guard * rate, (guard + n) * rate)
         np.testing.assert_allclose(w_shift.samples[sl], w_base.samples[sl],
@@ -220,16 +221,16 @@ class TestOpticalPowers:
     @pytest.mark.parametrize("levels", [(0.0, 1.0), (0.0, 1.0, 2.0, 3.0),
                                         (1.0, 2.0)], ids=["ook", "pam4", "1-2"])
     def test_wideband_peak_is_attained(self, family, levels):
-        # An all-top-level block attains the peak: the nonnegative train
+        # An all-top-level train attains the peak: the nonnegative train
         # peaks at the symbol instants, where every other Nyquist pulse is
-        # zero, so even a finite block reaches a*(mu + a_hat*q(0)) exactly.
+        # zero, so even a finite train reaches a*(mu + a_hat*q(0)) exactly.
         p = pulses.PulseSpec(family, 0.5)
         c = bias.Constellation(levels)
         mu = bias.required_bias(p, c).mu
         pw = waveform.optical_powers(p, c, mu=mu, a=1.5)
-        wf = waveform.synthesize(p, c, [c.a_hat] * 16, mu=mu, a=1.5,
-                                 guard_mode="adversarial",
-                                 adversarial_seek="max")
+        guard = pulses.effective_guard(p)
+        wf = waveform.synthesize(p, c, [c.a_hat] * (16 + 2 * guard), mu=mu,
+                                 a=1.5)
         assert pw.p_max == pytest.approx(float(wf.samples.max()), abs=1e-9)
         assert pw.p_max == pytest.approx(1.5 * (mu + c.a_hat), abs=1e-12)
 
