@@ -2,15 +2,18 @@
 this module.
 
 ``pl_exact_fold`` sums pl's negative-part fold exactly at rational alpha by
-residue classes, and ``pl_exact_bias`` maximizes it.  ``partial_fold`` is a
-plain partial sum of max(-q, 0) for any family, a lower bound on the fold
-whatever its length, and ``partial_sum_bias`` maximizes it.  None of them
-uses ``imdd.bias`` or ``imdd._series``.
+residue classes, and ``pl_exact_bias`` maximizes it.  ``pl_zeta_fold`` sums
+the same classes in mpmath with the Hurwitz zeta function instead of the
+csc^2 identity that ``pl_exact_fold`` and ``imdd.bias`` share.
+``partial_fold`` is a plain partial sum of max(-q, 0) for any family, a
+lower bound on the fold whatever its length, and ``partial_sum_bias``
+maximizes it.  None of them uses ``imdd.bias`` or ``imdd._series``.
 """
 
 from fractions import Fraction
 
 import numpy as np
+from mpmath import mp
 
 from imdd import pulses
 
@@ -47,6 +50,26 @@ def pl_exact_bias(alpha):
             t, step = grid[np.argmax(vals)], step / 10.0
         best = max(best, float(vals.max()))
     return best
+
+
+def pl_zeta_fold(alpha, t):
+    """pl's N(t) at alpha = n/d in 30-digit mpmath: each class r < P = 2d
+    with s_r(t) < 0 adds -s_r / (pi^2 alpha) times its lattice sum
+    sum_m 1/(t - r - P m)^2 = (zeta(2, x) + zeta(2, 1 - x)) / P^2, with
+    x = (t - r)/P mod 1 and zeta the Hurwitz zeta function."""
+    frac = Fraction(alpha).limit_denominator(1000)
+    period = 2 * frac.denominator
+    with mp.workdps(30):
+        a = mp.mpf(frac.numerator) / frac.denominator
+        u = mp.mpf(float(t))
+        total = mp.mpf(0)
+        for r in range(period):
+            s = (-1) ** r * mp.sinpi(u) * mp.sinpi(a * (u - r))
+            if s < 0:
+                x = mp.frac((u - r) / period)
+                total += (-s / (mp.pi ** 2 * a) / period ** 2
+                          * (mp.zeta(2, x) + mp.zeta(2, 1 - x)))
+        return float(total)
 
 
 def partial_fold(pulse, t, k):

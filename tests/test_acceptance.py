@@ -284,10 +284,10 @@ def test_criterion_08a_equal_eye_gap():
 
 def test_criterion_08a_bias_near_resonance():
     """Near alpha = 1 a coarse fold of sum |q| alone has a tail error as
-    large as the objective; the search must still not land below the
-    oracle there."""
+    large as the objective; the search sums pl's fold exactly there, so it
+    must land on the oracle from both sides."""
     sol = bias.required_bias(pulses.PulseSpec("pl", 0.985), OOK)
-    assert sol.mu >= pl_exact_bias(0.985) - 1e-8
+    assert abs(sol.mu - pl_exact_bias(0.985)) <= 1e-12
 
 
 def test_criterion_08b_rrc_over_best_nyquist():

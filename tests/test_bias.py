@@ -2,11 +2,12 @@
 
 The mu anchors below are closed forms where the maths gives one: (sqrt 2 -
 1)/2 for btn and pl at alpha = 0.5, 4/pi - 1 for rrc and xia at alpha = 1.
-The others were produced by an independent brute-force oracle (dense
-t-grid over one period, plain partial sums with a 50,000-term half-width,
-parabolic vertex refinement) before being copied here.  The search under
-test must land on them to ~1e-8.  The oracles of ``oracles.py`` check pl
-exactly and the other families from below.
+pl at 0.7 comes from the exact class-sum oracle.  The others were produced
+by an independent brute-force oracle (dense t-grid over one period, plain
+partial sums with a 50,000-term half-width, parabolic vertex refinement)
+before being copied here.  The search under test must land on them to
+~1e-8, and on pl's, which it sums exactly, to rounding.  The oracles of
+``oracles.py`` check pl exactly and the other families from below.
 """
 
 import json
@@ -18,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 from imdd import _series, bias, cli, pulses
 from imdd.errors import DomainError, NumericalDivergenceError
 
-from oracles import partial_sum_bias, pl_exact_bias, pl_exact_fold
+from oracles import (partial_sum_bias, pl_exact_bias, pl_exact_fold,
+                     pl_zeta_fold)
 
 OOK = bias.Constellation.pam(2)
 # levels {-1, 1}: midpoint 0 and a_hat 1, so the bias is the peak of sum |q|
@@ -44,11 +46,14 @@ MU_ANCHORS = {
     ("rrc", 0.5): 0.246937572479,
     ("xia", 0.5): 0.411551090590,
     ("rc", 0.6): 0.184566790565,
-    ("pl", 0.7): 0.078210169812,
+    ("pl", 0.7): pl_exact_bias(0.7),
     ("btn", 0.45): 0.240845450418,
     ("poly", 0.3): 0.466843478004,
     ("rrc", 0.715): 0.244731856930,
 }
+# pl's anchors are exact and so is its fold, so it must meet them to
+# rounding; the others hold to the truncated fold's accuracy
+ANCHOR_TOL = {("pl", 0.5): 1e-13, ("pl", 0.7): 1e-12}
 
 
 class TestConstellation:
@@ -104,7 +109,8 @@ class TestRequiredBias:
     @pytest.mark.parametrize("family,alpha", sorted(MU_ANCHORS))
     def test_frozen_anchors(self, family, alpha):
         sol = bias.required_bias(pulses.PulseSpec(family, alpha), OOK)
-        assert sol.mu == pytest.approx(MU_ANCHORS[(family, alpha)], abs=1e-8)
+        tol = ANCHOR_TOL.get((family, alpha), 1e-8)
+        assert sol.mu == pytest.approx(MU_ANCHORS[(family, alpha)], abs=tol)
 
     @pytest.mark.parametrize("family", ["s2", "src", "sdj"])
     def test_nonnegative_pulses_need_no_bias(self, family):
@@ -181,6 +187,30 @@ class TestRequiredBias:
             "the pulse tail (decay 2, coef 31.831) is too slow — "
             "alpha is likely too small for this accuracy")
         assert calls == []
+
+    def test_exact_and_truncated_pl_paths_agree(self):
+        # 0.7 = 7/10 is summed exactly over P = 20 residue classes; 0.7 +
+        # 1e-12 has no small denominator, so it takes the truncated fold
+        # at its full-accuracy budget
+        exact = bias.required_bias(pulses.PulseSpec("pl", 0.7), OOK)
+        near = pulses.PulseSpec("pl", 0.7 + 1e-12)
+        truncated = bias.required_bias(near, OOK)
+        assert exact.k_trunc == 20
+        assert truncated.k_trunc == bias._k_for(near, bias.DEFAULT_TAIL_TOL)
+        assert abs(exact.mu - truncated.mu) <= 2e-9
+
+    def test_pl_at_alpha_one_is_not_searched(self, monkeypatch):
+        # sinc^2 never goes negative, so neither fold is summed
+        def no_fold(*args, **kwargs):
+            raise AssertionError("pl at alpha = 1 summed a fold")
+
+        monkeypatch.setattr(bias, "_pl_fold", no_fold)
+        monkeypatch.setattr(_series, "folded_pair", no_fold)
+        bias.clear_caches()
+        p = pulses.PulseSpec("pl", 1.0)
+        sol = bias.required_bias(p, OOK)
+        assert (sol.mu, sol.argmax_t) == (0.0, 0.0)
+        assert sol.k_trunc == bias._k_for(p, bias.DEFAULT_TAIL_TOL)
 
     def test_argmax_within_period(self):
         sol = bias.required_bias(pulses.PulseSpec("rc", 0.6), OOK)
@@ -369,23 +399,28 @@ def test_exact_pl_fold_matches_partial_sums():
         assert np.all(exact - plain < 2e-5)
 
 
-# The solver misses the global maximum of pl near alpha = 1 (its coarse
-# stage has no basin at the winning t); see ROADMAP item 1.
-_NEAR_ONE_MISS = pytest.mark.xfail(
-    strict=True, reason="bias search misses pl's maximum near alpha = 1")
+def test_exact_pl_fold_matches_hurwitz_zeta_classes():
+    # the library and pl_exact_fold share the csc^2 class sum; mpmath's
+    # Hurwitz zeta sums each class without it
+    for alpha in (0.5, 0.7, 0.95):
+        period = bias._pl_period(alpha)
+        for t in (0.1, 0.3, 0.5):
+            fold = float(bias._pl_fold(alpha, period, t)[0])
+            assert fold == pytest.approx(pl_zeta_fold(alpha, t), rel=1e-13)
 
 
 @pytest.mark.parametrize("alpha", [
-    0.5, 0.85, 0.9, 0.95, pytest.param(0.97, marks=_NEAR_ONE_MISS),
-    pytest.param(0.98, marks=_NEAR_ONE_MISS), 0.985,
-    pytest.param(0.99, marks=_NEAR_ONE_MISS), 0.995])
+    0.01, 0.015, 0.5, 0.85, 0.9, 0.95, 0.97, 0.975, 0.98, 0.985, 0.99,
+    0.995])
 def test_pl_bias_reaches_the_exact_fold(alpha):
+    # two-sided: the solver sums pl's fold exactly at these alpha (P up to
+    # 400 classes at 0.015), so it may neither undershoot nor overshoot
     oracle = pl_exact_bias(alpha)
     if alpha == 0.5:
         assert oracle == pytest.approx((np.sqrt(2.0) - 1.0) / 2.0,
                                        rel=0, abs=1e-15)
     mu = bias.required_bias(pulses.PulseSpec("pl", alpha), OOK).mu
-    assert mu >= oracle - bias.DEFAULT_TAIL_TOL
+    assert abs(mu - oracle) <= 1e-12
 
 
 # The coarse stage's [:6] cap drops btn 0.965's winning basin (ROADMAP
