@@ -16,8 +16,8 @@ spectrum that vanishes at the band edge, so F(t) = q_bar + 2 c1 cos(2 pi t
 are Nyquist, so F(0) = q(0) gives c1 = (q(0) - q_bar)/2.  N does not
 depend on the levels, so one cached search of N serves every constellation
 and the peak of sum |q|.  N is summed exactly by residue classes for ``pl``
-at alpha = n/d < 1 with d <= _PL_MAX_DEN, and as a truncated, tail-
-accelerated series otherwise.
+(alpha < 1) and ``xia`` at alpha = n/d with d <= _MAX_DEN, and as a
+truncated, tail-accelerated series otherwise.
 """
 
 from __future__ import annotations
@@ -46,11 +46,11 @@ REFINE_TOL = 1e-10         # golden bracket width, in units of ts
 _STAGE1_TOL = 1e-3
 _STAGE2_TOL = 1e-6
 
-# Largest denominator d of a pl alpha = n/d whose fold is summed exactly,
-# over P = 2d residue classes.  The exact search costs O(P): measured at
+# Largest denominator d of an alpha = n/d whose fold is summed exactly, over
+# P = 2d residue classes.  The exact search costs O(P): measured on pl at
 # d = 500 it took 34-51 ms against the truncated search's 36-177 ms at the
 # same alpha, at d = 1000 it took 60-71 ms against 34 ms at alpha = 0.501.
-_PL_MAX_DEN = 500
+_MAX_DEN = 500
 
 
 @dataclass(frozen=True)
@@ -130,13 +130,11 @@ def _fold(pulse: pulses.PulseSpec, t, k: int):
                                pulse.ts, t, k, p - 1.0)
 
 
-def _pl_period(alpha: float) -> int | None:
-    """The class period P = 2d of pl at alpha = n/d < 1, d <= _PL_MAX_DEN;
-    None for any other alpha."""
-    frac = Fraction(alpha).limit_denominator(_PL_MAX_DEN)
-    if alpha < 1.0 and float(frac) == alpha:
-        return 2 * frac.denominator
-    return None
+def _period(alpha: float) -> int | None:
+    """The class period P = 2d of alpha = n/d, d <= _MAX_DEN; None for any
+    other alpha."""
+    frac = Fraction(alpha).limit_denominator(_MAX_DEN)
+    return 2 * frac.denominator if float(frac) == alpha else None
 
 
 def _pl_fold(alpha: float, period: int, t):
@@ -176,6 +174,86 @@ def _pl_fold(alpha: float, period: int, t):
     return out
 
 
+@lru_cache(maxsize=64)
+def _xia_classes(alpha: float, period: int):
+    """The per-class constants of ``_xia_fold``, computed once per search:
+    b, the class sum's factor (pi/P) sin(pi b/P), the classes r and their
+    shifts r - b, and the sines and cosines of pi alpha r (signed by
+    (-1)^r), pi r/P and pi (r - b)/P."""
+    b = 0.5 / alpha
+    r = np.arange(period, dtype=float)
+    shift = r - b
+    sign = 1.0 - 2.0 * (r % 2)
+    return (b, np.pi / period * np.sin(np.pi * b / period), r, shift,
+            sign * np.sin(np.pi * alpha * r), sign * np.cos(np.pi * alpha * r),
+            np.sin(np.pi * r / period), np.cos(np.pi * r / period),
+            np.sin(np.pi * shift / period), np.cos(np.pi * shift / period))
+
+
+def _xia_fold(alpha: float, period: int, t):
+    """xia's negative-part fold N at the offsets t in (-1/2, 3/2), summed
+    exactly.
+
+    On the residue class j = r (mod P), q(t - j) = c_r(t) g(t - j) / pi
+    with c_r(t) = (-1)^r sin(pi t) cos(pi alpha (t - r)), constant on the
+    class, and g(x) = 1/x - 1/(x + b) = b / (x (x + b)), b = 1/(2 alpha)
+    <= P/4.  g < 0 only on (-b, 0), and for these t the one shift of a
+    class that may lie there is z = t - r.  By sum_m 1/(z - m P) =
+    (pi/P) cot(pi z/P) (DLMF 4.22) the class sums g to
+
+        S_r = (pi/P) (cot(w) - cot(w + pi b/P))
+            = (pi/P) sin(pi b/P) / (sin(w) sin(w + pi b/P)),  w = pi z/P,
+
+    and a class with c_r < 0 adds -c_r S_r / pi, less -c_r g(z) / pi if z
+    lies in (-b, 0), where q(z) > 0.  A class with c_r > 0 adds only -q(z)
+    = c_r |g(z)| / pi, if z lies there.  So
+
+        N(t) = sum_{r<P} (|c_r| max(-g(z), 0) + max(-c_r, 0) S_r) / pi.
+
+    c_r and the sines of S_r come from the angle-sum rule, so a class costs
+    a few products.  Next to the poles z = 0 and z = -b of g, where c_r
+    and S_r's denominator vanish together, both are taken directly as
+    sin(pi z) sin(pi alpha (z + b)) and sin(w) sin(w + pi b/P), so they
+    keep their relative accuracy and the product its absolute one.  A
+    shift exactly on a pole has c_r = 0 and adds max(-q(z), 0) from
+    ``pulses.evaluate``.  Rows go in pieces of about EVAL_CHUNK_ELEMS
+    values.  Returns an array shaped like ``np.atleast_1d(t)``.
+    """
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    b, lattice, r, shift, sin_a, cos_a, sin_r, cos_r, sin_s, cos_s = (
+        _xia_classes(alpha, period))
+    out = np.empty(t.size)
+    rows = max(1, _series.EVAL_CHUNK_ELEMS // period)
+    for lo in range(0, t.size, rows):
+        u = t[lo:lo + rows, None]
+        z, zb = u - r, u - shift
+        c = np.sin(np.pi * u) * (np.cos(np.pi * alpha * u) * cos_a
+                                 + np.sin(np.pi * alpha * u) * sin_a)
+        sin_u = np.sin(np.pi * u / period)
+        cos_u = np.cos(np.pi * u / period)
+        ss = (sin_u * cos_r - cos_u * sin_r) * (sin_u * cos_s - cos_u * sin_s)
+        # the classes with a shift within 1 of a pole in this piece
+        lo_t, hi_t = u.min() - 1.0, u.max() + 1.0
+        near = np.flatnonzero((r > lo_t) & (r < hi_t)
+                              | (shift > lo_t) & (shift < hi_t))
+        zn, zbn = z[:, near], zb[:, near]
+        c[:, near] = np.sin(np.pi * zn) * np.sin(np.pi * alpha * zbn)
+        ss[:, near] = (np.sin(np.pi / period * zn)
+                       * np.sin(np.pi / period * zbn))
+        zz = z * zb
+        star = np.divide(np.abs(c) * b, -zz, out=np.zeros_like(zz),
+                         where=zz < 0.0)
+        rest = np.divide(np.maximum(-c, 0.0) * lattice, ss,
+                         out=np.zeros_like(ss), where=ss != 0.0)
+        out[lo:lo + rows] = (star + rest).sum(axis=1) / np.pi
+        hit = zz[:, near] == 0.0
+        if hit.any():
+            pulse = pulses.PulseSpec("xia", alpha)
+            on_pole = np.maximum(-pulses.evaluate(pulse, zn[hit]), 0.0)
+            np.add.at(out, lo + np.nonzero(hit)[0], on_pole)
+    return out
+
+
 def _c1(pulse: pulses.PulseSpec) -> float:
     """First harmonic of the signed fold: (q(0) - q_bar)/2 for the Nyquist
     pulses wider than the symbol rate, 0 otherwise."""
@@ -210,21 +288,31 @@ def _basins(obj) -> np.ndarray:
     return cand[np.argsort(obj[cand])[::-1]]
 
 
-def _pl_search(alpha: float, period: int) -> _SearchResult:
-    """Maximize pl's exact fold: the coarse grid over half a period (N is
-    even), then golden refinement of every local maximum on it.  The
-    surface has no truncation error, so no basin is dropped and there is
-    no polish; the result reports P as its k_trunc."""
-    def fold(t: float) -> float:
-        return float(_pl_fold(alpha, period, t)[0])
+# The families whose fold is summed exactly at alpha = n/d, d <= _MAX_DEN:
+# the class fold and whether N is even about t = 1/2.
+_EXACT = {"pl": (_pl_fold, True), "xia": (_xia_fold, False)}
 
-    grid = np.linspace(0.0, 0.5, GRID_N // 2 + 1)
+
+def _exact_search(family: str, alpha: float, period: int) -> _SearchResult:
+    """Maximize an exactly summed fold: the coarse grid over half a period
+    for an even N (GRID_N // 2 + 1 points), over the whole period otherwise
+    (GRID_N points), then golden refinement of every local maximum on it
+    where N > 0.  The surface has no truncation error, so no basin is
+    dropped and there is no polish; the result reports P as its k_trunc."""
+    class_fold, even = _EXACT[family]
+
+    def fold(t: float) -> float:
+        return float(class_fold(alpha, period, t)[0])
+
+    grid = (np.linspace(0.0, 0.5, GRID_N // 2 + 1) if even
+            else np.arange(GRID_N) * (1.0 / GRID_N))
     step = grid[1] - grid[0]
-    obj = _pl_fold(alpha, period, grid)
+    obj = class_fold(alpha, period, grid)
     t_best, val = max((_series.golden_max(fold, grid[i] - 1.5 * step,
                                           grid[i] + 1.5 * step, REFINE_TOL)
-                       for i in _basins(obj)), key=lambda tv: tv[1])
-    t_wrap = abs(t_best) % 1.0
+                       for i in _basins(obj) if obj[i] > 0.0),
+                      key=lambda tv: tv[1])
+    t_wrap = abs(t_best) % 1.0 if even else t_best % 1.0
     return _SearchResult(t_wrap, val if t_wrap == t_best else fold(t_wrap),
                          period)
 
@@ -244,14 +332,14 @@ def _search(family: str, alpha: float) -> _SearchResult:
     The three stage budgets are computed before any fold, so a tail too
     slow for DEFAULT_TAIL_TOL raises NumericalDivergenceError at no cost.  A
     nonnegative pulse has N = 0 at every t, so there is no search: the
-    result sits at t = 0 with the full-accuracy budget k3.  ``pl`` at an
-    alpha with a small denominator takes the exact path of ``_pl_search``
-    instead.
+    result sits at t = 0 with the full-accuracy budget k3.  ``pl`` and
+    ``xia`` at an alpha with a small denominator take the exact path of
+    ``_exact_search`` instead.
     """
     pulse = pulses.PulseSpec(family, alpha)
-    period = _pl_period(alpha) if family == "pl" else None
-    if period:
-        return _pl_search(alpha, period)
+    period = _period(alpha) if family in _EXACT else None
+    if period and not pulses.metadata(pulse).nonnegative:
+        return _exact_search(family, alpha, period)
     even = family != "xia"
 
     tol1, tol2 = _STAGE1_TOL, _STAGE2_TOL

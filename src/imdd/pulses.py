@@ -150,14 +150,10 @@ def _rrc(u, a):
 
 
 def _xia(u, a):
-    # Asymmetric: the denominator vanishes at u = -1/(2a) only.  The limit
-    # there is (pi/2)*sinc(1/(2a)) (the cos factor has a simple zero at the
-    # same point).
-    s = 1.0 / (2.0 * a)
-    sing = np.abs(u + s) < SING_WINDOW
-    den = np.where(sing, 1.0, 2.0 * a * u + 1.0)
-    q = np.sinc(u) * np.cos(np.pi * a * u) / den
-    return np.where(sing, (np.pi / 2.0) * np.sinc(s), q)
+    # Asymmetric: sinc(u) cos(pi a u)/(2 a u + 1).  Its factor cos(pi a u)
+    # / (2 a u + 1) is (pi/2) sinc(a u + 1/2), which has no singularity at
+    # u = -1/(2a).
+    return (np.pi / 2.0) * np.sinc(u) * np.sinc(a * u + 0.5)
 
 
 _EVAL = {

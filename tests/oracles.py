@@ -5,6 +5,10 @@ this module.
 residue classes, and ``pl_exact_bias`` maximizes it.  ``pl_zeta_fold`` sums
 the same classes in mpmath with the Hurwitz zeta function instead of the
 csc^2 identity that ``pl_exact_fold`` and ``imdd.bias`` share.
+``xia_exact_fold`` and ``xia_exact_bias`` do the same for xia, with the
+cotangent class sum less the share of the one shift where q may change
+sign, and ``xia_psi_fold`` sums xia's classes in mpmath with digamma
+differences over the two half-lines where each class keeps its sign.
 ``partial_fold`` is a plain partial sum of max(-q, 0) for any family, a
 lower bound on the fold whatever its length, and ``partial_sum_bias``
 maximizes it.  None of them uses ``imdd.bias`` or ``imdd._series``.
@@ -36,20 +40,28 @@ def pl_exact_fold(alpha, t):
     return (np.maximum(-s, 0.0) * lattice).sum(axis=1)
 
 
+def _refined_max(fold, coarse):
+    """max of fold: the coarse grid, then nested 21-point grid refinement
+    around its five best points."""
+    best = 0.0
+    step = coarse[1] - coarse[0]
+    for t in coarse[np.argsort(fold(coarse))[-5:]]:
+        s = step
+        for _ in range(8):
+            grid = np.clip(np.linspace(t - s, t + s, 21), coarse[0],
+                           coarse[-1])
+            vals = fold(grid)
+            t, s = grid[np.argmax(vals)], s / 10.0
+        best = max(best, float(vals.max()))
+    return best
+
+
 def pl_exact_bias(alpha):
     """OOK bias max_t N(t) of pl: a fine grid over [0, 1/2] (N is even
     about t = 1/2; t = 0 itself, where N = 0, is left out), then nested
     grid refinement around its five best points."""
-    coarse = np.linspace(0.0, 0.5, 2001)[1:]
-    best = 0.0
-    for t in coarse[np.argsort(pl_exact_fold(alpha, coarse))[-5:]]:
-        step = coarse[1] - coarse[0]
-        for _ in range(8):
-            grid = np.clip(np.linspace(t - step, t + step, 21), step, 0.5)
-            vals = pl_exact_fold(alpha, grid)
-            t, step = grid[np.argmax(vals)], step / 10.0
-        best = max(best, float(vals.max()))
-    return best
+    return _refined_max(lambda t: pl_exact_fold(alpha, t),
+                        np.linspace(0.0, 0.5, 2001)[1:])
 
 
 def pl_zeta_fold(alpha, t):
@@ -69,6 +81,72 @@ def pl_zeta_fold(alpha, t):
                 x = mp.frac((u - r) / period)
                 total += (-s / (mp.pi ** 2 * a) / period ** 2
                           * (mp.zeta(2, x) + mp.zeta(2, 1 - x)))
+        return float(total)
+
+
+def xia_exact_fold(alpha, t):
+    """N(t) for xia, q(u) = sinc(u) cos(pi alpha u)/(2 alpha u + 1), summed
+    exactly at rational alpha = n/d, independent of imdd.bias.
+
+    q(u - j) = c_j g(u - j) / pi with c_j = (-1)^j sin(pi u) cos(pi alpha
+    (u - j)), which repeats in j with period P = 2d, and g(x) = 1/x - 1/(x
+    + b), b = 1/(2 alpha).  g < 0 only on (-b, 0), which holds at most one
+    point x* of each class, since b < P.  The class's sum of g is
+    (pi/P) (cot(pi x/P) - cot(pi (x + b)/P)), so a class with c_r < 0 adds
+    -c_r/pi times that sum less g(x*), and every class adds max(-q(x*), 0).
+    """
+    period = 2 * Fraction(alpha).limit_denominator(1000).denominator
+    b = 0.5 / alpha
+    u = np.asarray(t, dtype=float)[:, None]
+    x = u - np.arange(period)
+    c = (-1.0) ** np.arange(period) * np.sin(np.pi * u) * np.cos(
+        np.pi * alpha * x)
+    whole = np.pi / period * (1.0 / np.tan(np.pi * x / period)
+                              - 1.0 / np.tan(np.pi * (x + b) / period))
+    star = x - period * np.floor((x + b) / period)
+    inside = (star > -b) & (star < 0.0)
+    g_star = np.where(inside, 1.0 / star - 1.0 / (star + b), 0.0)
+    q_star = np.where(inside, pulses.evaluate(pulses.PulseSpec("xia", alpha),
+                                              star), 0.0)
+    return (np.maximum(-c, 0.0) / np.pi * (whole - g_star)
+            + np.maximum(-q_star, 0.0)).sum(axis=1)
+
+
+def xia_exact_bias(alpha):
+    """OOK bias max_t N(t) of xia, which is not even: a 4000-point grid
+    over the whole period (cell midpoints, so no point sits at t = 0 or
+    t = 1/2), refined as in ``pl_exact_bias``."""
+    return _refined_max(lambda t: xia_exact_fold(alpha, t),
+                        (np.arange(4000) + 0.5) / 4000)
+
+
+def xia_psi_fold(alpha, t):
+    """xia's N(t) at alpha = n/d in 30-digit mpmath.  A class r < P = 2d
+    with c_r = (-1)^r sin(pi t) cos(pi alpha (t - r)) < 0 adds -c_r/pi
+    times its sum of g(x) = 1/x - 1/(x + b) over its shifts x > 0 and x <
+    -b: with x0 the least shift > 0 and y1 = -x1 for the greatest x1 < -b,
+    (psi((x0 + b)/P) - psi(x0/P) + psi(y1/P) - psi((y1 - b)/P)) / P.  The
+    shift in [-b, 0], if there is one, adds max(-q, 0) itself."""
+    frac = Fraction(alpha).limit_denominator(1000)
+    period = 2 * frac.denominator
+    with mp.workdps(30):
+        a = mp.mpf(frac.numerator) / frac.denominator
+        b = 1 / (2 * a)
+        u = mp.mpf(float(t))
+        total = mp.mpf(0)
+        for r in range(period):
+            x0 = (u - r) % period or mp.mpf(period)
+            mid = x0 - period
+            x1 = mid - period if mid >= -b else mid
+            c = (-1) ** r * mp.sinpi(u) * mp.cospi(a * (u - r))
+            if c < 0:
+                y1 = -x1
+                total += -c / mp.pi / period * (
+                    mp.psi(0, (x0 + b) / period) - mp.psi(0, x0 / period)
+                    + mp.psi(0, y1 / period) - mp.psi(0, (y1 - b) / period))
+            if mid >= -b:
+                q = mp.pi / 2 * mp.sincpi(mid) * mp.sincpi(a * mid + 0.5)
+                total += max(-q, 0)
         return float(total)
 
 

@@ -2,12 +2,13 @@
 
 The mu anchors below are closed forms where the maths gives one: (sqrt 2 -
 1)/2 for btn and pl at alpha = 0.5, 4/pi - 1 for rrc and xia at alpha = 1.
-pl at 0.7 comes from the exact class-sum oracle.  The others were produced
-by an independent brute-force oracle (dense t-grid over one period, plain
-partial sums with a 50,000-term half-width, parabolic vertex refinement)
-before being copied here.  The search under test must land on them to
-~1e-8, and on pl's, which it sums exactly, to rounding.  The oracles of
-``oracles.py`` check pl exactly and the other families from below.
+pl at 0.7 and xia at 0.5 come from the exact class-sum oracles.  The others
+were produced by an independent brute-force oracle (dense t-grid over one
+period, plain partial sums with a 50,000-term half-width, parabolic vertex
+refinement) before being copied here.  The search under test must land on
+them to ~1e-8, and on pl's and xia's, which it sums exactly, to rounding.
+The oracles of ``oracles.py`` check pl and xia exactly and the other
+families from below.
 """
 
 import json
@@ -19,8 +20,8 @@ from hypothesis import given, settings, strategies as st
 from imdd import _series, bias, cli, pulses
 from imdd.errors import DomainError, NumericalDivergenceError
 
-from oracles import (partial_sum_bias, pl_exact_bias, pl_exact_fold,
-                     pl_zeta_fold)
+from oracles import (partial_fold, partial_sum_bias, pl_exact_bias,
+                     pl_exact_fold, pl_zeta_fold, xia_exact_bias, xia_psi_fold)
 
 OOK = bias.Constellation.pam(2)
 # levels {-1, 1}: midpoint 0 and a_hat 1, so the bias is the peak of sum |q|
@@ -44,16 +45,17 @@ MU_ANCHORS = {
     ("xia", 1.0): 4.0 / np.pi - 1.0,
     ("poly", 0.5): 0.303498467784,
     ("rrc", 0.5): 0.246937572479,
-    ("xia", 0.5): 0.411551090590,
+    ("xia", 0.5): xia_exact_bias(0.5),
     ("rc", 0.6): 0.184566790565,
     ("pl", 0.7): pl_exact_bias(0.7),
     ("btn", 0.45): 0.240845450418,
     ("poly", 0.3): 0.466843478004,
     ("rrc", 0.715): 0.244731856930,
 }
-# pl's anchors are exact and so is its fold, so it must meet them to
-# rounding; the others hold to the truncated fold's accuracy
-ANCHOR_TOL = {("pl", 0.5): 1e-13, ("pl", 0.7): 1e-12}
+# pl's and xia's anchors are exact and so are their folds, so they must be
+# met to rounding; the others hold to the truncated fold's accuracy
+ANCHOR_TOL = {("pl", 0.5): 1e-13, ("pl", 0.7): 1e-12, ("xia", 1.0): 1e-13,
+              ("xia", 0.5): 1e-12}
 
 
 class TestConstellation:
@@ -181,10 +183,12 @@ class TestRequiredBias:
 
         monkeypatch.setattr(_series, "folded_pair", counting)
         with pytest.raises(NumericalDivergenceError) as err:
-            bias.required_bias(pulses.PulseSpec("xia", 0.01), OOK)
+            # 0.0101 = 101/10000 has no small denominator, so xia takes
+            # the truncated fold there
+            bias.required_bias(pulses.PulseSpec("xia", 0.0101), OOK)
         assert str(err.value) == (
-            "series needs K=1009254 > cap 1000000 terms for tolerance 1e-09; "
-            "the pulse tail (decay 2, coef 31.831) is too slow — "
+            "series needs K=1004245 > cap 1000000 terms for tolerance 1e-09; "
+            "the pulse tail (decay 2, coef 31.5158) is too slow — "
             "alpha is likely too small for this accuracy")
         assert calls == []
 
@@ -199,12 +203,37 @@ class TestRequiredBias:
         assert truncated.k_trunc == bias._k_for(near, bias.DEFAULT_TAIL_TOL)
         assert abs(exact.mu - truncated.mu) <= 2e-9
 
+    def test_exact_and_truncated_xia_paths_agree(self):
+        # as for pl: 0.7 over P = 20 classes, 0.7 + 1e-12 truncated
+        exact = bias.required_bias(pulses.PulseSpec("xia", 0.7), OOK)
+        near = pulses.PulseSpec("xia", 0.7 + 1e-12)
+        truncated = bias.required_bias(near, OOK)
+        assert exact.k_trunc == 20
+        assert truncated.k_trunc == bias._k_for(near, bias.DEFAULT_TAIL_TOL)
+        assert abs(exact.mu - truncated.mu) <= 2e-9
+
+    def test_xia_at_alpha_one_refines_at_most_two_basins(self, monkeypatch):
+        # N = 0 on half the period at alpha = 1, so 2,048 of the grid's
+        # 2,049 local maxima are ties at 0; only those with N > 0 are refined
+        calls = []
+        golden_max = _series.golden_max
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return golden_max(*args, **kwargs)
+
+        monkeypatch.setattr(_series, "golden_max", counting)
+        bias.clear_caches()
+        sol = bias.required_bias(pulses.PulseSpec("xia", 1.0), OOK)
+        assert 1 <= len(calls) <= 2
+        assert sol.k_trunc == 2
+
     def test_pl_at_alpha_one_is_not_searched(self, monkeypatch):
         # sinc^2 never goes negative, so neither fold is summed
         def no_fold(*args, **kwargs):
             raise AssertionError("pl at alpha = 1 summed a fold")
 
-        monkeypatch.setattr(bias, "_pl_fold", no_fold)
+        monkeypatch.setitem(bias._EXACT, "pl", (no_fold, True))
         monkeypatch.setattr(_series, "folded_pair", no_fold)
         bias.clear_caches()
         p = pulses.PulseSpec("pl", 1.0)
@@ -403,10 +432,55 @@ def test_exact_pl_fold_matches_hurwitz_zeta_classes():
     # the library and pl_exact_fold share the csc^2 class sum; mpmath's
     # Hurwitz zeta sums each class without it
     for alpha in (0.5, 0.7, 0.95):
-        period = bias._pl_period(alpha)
+        period = bias._period(alpha)
         for t in (0.1, 0.3, 0.5):
             fold = float(bias._pl_fold(alpha, period, t)[0])
             assert fold == pytest.approx(pl_zeta_fold(alpha, t), rel=1e-13)
+
+
+def test_exact_xia_fold_matches_partial_sums():
+    # against a plain partial sum to |k| <= 20000; the negative tail
+    # beyond it is below 1 / (pi alpha 20000) ~ 3.2e-5 at alpha = 0.5
+    t = np.array([0.1, 0.5, 0.8])
+    for alpha in (0.5, 0.7, 0.99):
+        plain = partial_fold(pulses.PulseSpec("xia", alpha), t, 20_000)
+        exact = bias._xia_fold(alpha, bias._period(alpha), t)
+        assert np.all(exact >= plain)
+        assert np.all(exact - plain < 1.0 / (np.pi * alpha * 20_000))
+
+
+def test_exact_xia_fold_matches_digamma_classes():
+    # the library sums each class by its cotangent; mpmath sums the two
+    # half-lines where the class keeps its sign with digamma differences
+    for alpha in (0.3, 0.7, 0.99):
+        period = bias._period(alpha)
+        for t in (0.1, 0.5, 0.83):
+            fold = float(bias._xia_fold(alpha, period, t)[0])
+            assert fold == pytest.approx(xia_psi_fold(alpha, t), rel=1e-13)
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.3, 0.4, 1.0])
+def test_exact_xia_fold_is_exact_next_to_its_poles(alpha):
+    # within 1e-10 of the offsets where a shift sits on x = -b or x = 0,
+    # and on them (alpha = 0.4: t = 0.75 puts x = -1.25 = -b exactly), the
+    # class factor and the cotangent sines vanish together; the fold must
+    # keep its absolute accuracy there
+    b = 0.5 / alpha
+    poles = [j - b for j in range(60) if -0.4 < j - b < 1.4] + [0.0, 1.0]
+    t = np.array([p + d for p in poles for d in (-1e-10, 0.0, 1e-10)])
+    fold = bias._xia_fold(alpha, bias._period(alpha), t)
+    oracle = np.array([xia_psi_fold(alpha, tt) for tt in t])
+    np.testing.assert_allclose(fold, oracle, rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.1, 0.3, 0.5, 0.9, 0.99, 1.0])
+def test_xia_bias_reaches_the_exact_fold(alpha):
+    # two-sided, as for pl; 0.01 overran the truncated fold's term cap
+    oracle = xia_exact_bias(alpha)
+    if alpha == 1.0:
+        assert oracle == pytest.approx(4.0 / np.pi - 1.0, rel=0, abs=1e-15)
+    mu = bias.required_bias(pulses.PulseSpec("xia", alpha), OOK).mu
+    assert abs(mu - oracle) <= 1e-12
 
 
 @pytest.mark.parametrize("alpha", [

@@ -71,9 +71,11 @@ class TestBiasCommand:
         assert a.read_bytes() == b.read_bytes()
 
     def test_divergence_exit_code(self, tmp_path):
-        # the slowest tail at the tightest tolerance overruns the term cap
+        # the slowest tail at the tightest tolerance overruns the term cap;
+        # 0.0101 = 101/10000 has no small denominator, so xia's fold is
+        # truncated there
         out = tmp_path / "d.csv"
-        rc = cli.main(["bias", "--pulse", "xia", "--alpha", "0.01",
+        rc = cli.main(["bias", "--pulse", "xia", "--alpha", "0.0101",
                        "-o", str(out)])
         assert rc == 3
         _, rows = data_rows(out)
@@ -86,8 +88,8 @@ class TestBiasCommand:
 
     def test_partial_divergence_still_succeeds(self, tmp_path):
         out = tmp_path / "p.csv"
-        rc = cli.main(["bias", "--pulse", "xia", "--alpha", "0.01:0.5:0.49",
-                       "-o", str(out)])
+        rc = cli.main(["bias", "--pulse", "xia",
+                       "--alpha", "0.0101:0.5:0.4899", "-o", str(out)])
         assert rc == 0            # some rows were produced
         _, rows = data_rows(out)
         assert len(rows) == 1
@@ -160,15 +162,15 @@ class TestGainCommand:
     def test_divergent_points_go_to_the_sidecar(self, tmp_path):
         out = tmp_path / "g.csv"
         rc = cli.main(["gain", "--scenario", "equal-ser", "--pulse", "xia",
-                       "--alpha", "0.01:0.5:0.49", "-o", str(out)])
+                       "--alpha", "0.0101:0.5:0.4899", "-o", str(out)])
         assert rc == 0
         _, rows = data_rows(out)
         assert [(r[1], r[3]) for r in rows] == [("sampling", "0.5"),
                                                ("matched", "0.5")]
         _, failures = data_rows(tmp_path / "g.errors.csv")
         assert [f[:5] for f in failures] == [
-            ["equal-ser", "sampling", "xia", "0.01", "2"],
-            ["equal-ser", "matched", "xia", "0.01", "2"]]
+            ["equal-ser", "sampling", "xia", "0.0101", "2"],
+            ["equal-ser", "matched", "xia", "0.0101", "2"]]
         assert all(f[5].startswith("series needs K=") for f in failures)
 
     def test_equal_eye_matched_goes_to_the_sidecar(self, tmp_path):

@@ -8,6 +8,7 @@ library code under test existed in its final form.
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import mp
 
 from imdd import pulses
 from imdd.errors import DomainError, UnsupportedError
@@ -87,6 +88,23 @@ class TestRemovableSingularities:
         self._continuity(p, t_sing)
         expected = (np.pi / 2) * np.sinc(1.0 / (2 * alpha))
         assert pulses.evaluate(p, t_sing) == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.3, 0.6, 0.77, 1.0])
+    def test_xia_matches_mpmath_next_to_its_pole(self, alpha):
+        # sinc(u) cos(pi alpha u)/(2 alpha u + 1) in 40-digit mpmath at the
+        # same float u; a window that put in the limit value was 5.6e-7
+        # off at 0.9e-6 from the pole (alpha = 0.3)
+        p = pulses.PulseSpec("xia", alpha)
+        pole = -0.5 / alpha
+        with mp.workdps(40):
+            for d in (-1e-6, -0.9e-6, -1e-9, -1e-12, 0.0, 1e-12, 1e-9,
+                      0.9e-6, 1e-6):
+                u = mp.mpf(pole + d)
+                den = 2 * mp.mpf(alpha) * u + 1
+                exact = (mp.pi / 2 * mp.sincpi(u) if den == 0 else
+                         mp.sincpi(u) * mp.cospi(mp.mpf(alpha) * u) / den)
+                assert abs(pulses.evaluate(p, pole + d) - float(exact)) \
+                    <= 1e-15
 
     def test_poly_series_branch_matches_direct_formula(self):
         p = pulses.PulseSpec("poly", 0.5)
