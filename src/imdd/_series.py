@@ -13,9 +13,7 @@ and non-resonance alike.
 
 The only pulse-train fold summed numerically is the negative part
 N(t) = sum_j max(-q(t - j ts), 0): the signed fold has a closed form by
-Poisson summation (see ``bias``), and sum |q| = sum q + 2 N.  The fold's
-blocks of ``chunk_elems`` values fix its rounding; its pieces of at most
-``EVAL_CHUNK_ELEMS`` values bound its memory and change no bit.
+Poisson summation (see ``bias``), and sum |q| = sum q + 2 N.
 ``folded_pair`` keeps the name it had when it returned the pair
 (sum |q|, sum q), since the benchmark's tracer wraps it by that name.
 """
@@ -58,54 +56,29 @@ def extrapolate(core, wing, decay: float):
     return core + wing + wing / (2.0 ** decay - 1.0)
 
 
-def folded_pair(eval_fn, ts: float, t, k: int, decay: float,
-                chunk_elems: int = 8_000_000):
+def folded_pair(eval_fn, ts: float, t, k: int, decay: float):
     """Tail-accelerated negative-part fold sum max(-q, 0) over shifts
     t - j*ts, |j| <= k.
 
-    ``eval_fn`` maps time arrays to pulse values.  Each block of
-    ``chunk_elems`` shifts is built and reduced in pieces, in numpy's order
-    for the whole block: row by row over a grid of t, so each piece adds
-    the running sum into its first row; pairwise at one t, split as numpy
-    splits (halves rounded down to a multiple of 8) into leaves no smaller
-    than its 128-value base case.  Returns an array shaped like ``t``.
+    ``eval_fn`` maps time arrays to pulse values.  The shifts are built and
+    summed in pieces of at most EVAL_CHUNK_ELEMS values into one running
+    sum per t, so the fold's memory does not grow with k.  Returns an
+    array shaped like ``t``.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     k = int(k) + int(k) % 2
     half = k // 2
+    rows = max(1, EVAL_CHUNK_ELEMS // t.size)
 
-    core = np.zeros_like(t)
-    wing = np.zeros_like(t)
+    def fold(j_lo, j_hi):
+        acc = np.zeros_like(t)
+        for lo in range(j_lo, j_hi + 1, rows):
+            j = np.arange(lo, min(lo + rows, j_hi + 1), dtype=float)
+            acc += np.maximum(-eval_fn(t - j[:, None] * ts), 0.0).sum(axis=0)
+        return acc
 
-    block = max(1, chunk_elems // max(1, t.size))
-    piece = max(1, EVAL_CHUNK_ELEMS // max(1, t.size))
-
-    def terms(lo, n):
-        x = t[None, :] - np.arange(lo, lo + n, dtype=float)[:, None] * ts
-        return np.maximum(np.negative(eval_fn(x), dtype=float), 0.0)
-
-    def pairwise(lo, n):
-        if n <= max(piece, 128):
-            return terms(lo, n).sum(axis=0)
-        m = n // 2 - n // 2 % 8
-        return pairwise(lo, m) + pairwise(lo + m, n - m)
-
-    def accumulate(j_lo, j_hi, acc):
-        for lo in range(j_lo, j_hi + 1, block):
-            n = min(block, j_hi + 1 - lo)
-            if t.size == 1:
-                acc += pairwise(lo, n)
-                continue
-            run = 0.0
-            for p0 in range(lo, lo + n, piece):
-                vals = terms(p0, min(piece, lo + n - p0))
-                vals[0] += run
-                run = vals.sum(axis=0)
-            acc += run
-
-    accumulate(-half, half, core)
-    accumulate(-k, -half - 1, wing)
-    accumulate(half + 1, k, wing)
+    core = fold(-half, half)
+    wing = fold(-k, -half - 1) + fold(half + 1, k)
     return extrapolate(core, wing, decay)
 
 

@@ -35,9 +35,24 @@ _BIAS_HEADER = ("pulse", "alpha", "m", "ts", "mu", "mu_norm",
                 "argmax_t", "k_trunc")
 
 
+def _served(args: argparse.Namespace) -> tuple[str, ...]:
+    """``--pulse all``: for ``gain`` and ``ser``, the families that
+    ``link.front_end`` pairs with a requested receiver (equal eye takes the
+    sampling receiver only); for the other commands, every family."""
+    if args.command not in ("gain", "ser"):
+        return pulses.FAMILIES
+    # ser takes a pair as equal-ser does: by the pair rule alone
+    scenario = getattr(args, "scenario", "equal-ser")
+    wanted = {args.receiver} if args.receiver else set(link.RECEIVERS)
+    served = tuple(f for f in pulses.FAMILIES
+                   if wanted.intersection(gains.valid_receivers(f, scenario)))
+    if not served:       # only a named receiver can leave none
+        raise DomainError(f"--pulse all: no pulse family takes the "
+                          f"{args.receiver} receiver in {scenario}")
+    return served
+
+
 def _parse_pulse_list(text: str) -> tuple[str, ...]:
-    if text.strip().lower() == "all":
-        return tuple(pulses.FAMILIES)
     out = []
     for name in text.split(","):
         name = name.strip().lower()
@@ -299,13 +314,9 @@ def reproduce_argv(figure: str, out_dir: str = ".",
                 for fam in ("rc", "pl", "btn", "xia")]
     if figure == "fig4":
         return [["bias", "--pulse", "all", "--alpha", dense, *out("fig4")]]
-    if figure == "fig5":
-        eye_set = ",".join(f for f in pulses.FAMILIES
-                           if gains.valid_receivers(f, "equal-eye"))
-        return [["gain", "--scenario", "equal-eye", "--pulse", eye_set,
-                 "--alpha", dense, "--m", "2,4", *out("fig5")]]
-    return [["gain", "--scenario", "equal-ser", "--pulse", "all",
-             "--alpha", dense, "--m", "2,4", *out("fig6")]]
+    scenario = "equal-eye" if figure == "fig5" else "equal-ser"
+    return [["gain", "--scenario", scenario, "--pulse", "all", "--alpha",
+             dense, "--m", "2,4", *out(figure)]]
 
 
 def reproduce(figure: str, out_dir: str = ".", fmt: str = "csv") -> int:
@@ -395,7 +406,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     """Parse the grids onto ``args``, fill in the default output path, and
     check once the run-wide settings the command has."""
-    args.pulse_set = _parse_pulse_list(args.pulse)
+    args.pulse_set = (_served(args) if args.pulse.strip().lower() == "all"
+                      else _parse_pulse_list(args.pulse))
     args.alphas = _parse_alpha_grid(args.alpha)
     args.m_values = _parse_m_list(args.m)
     args.output = args.output or os.path.join(

@@ -135,18 +135,20 @@ def gain_grid(scenario: str, pulse_set, alphas, m_set,
     ``(scenario, receiver, pulse, alpha, m)``.  Without ``receivers`` each
     family gets every receiver valid for it; a family with none yields one
     failure keyed ``(scenario, "", pulse, None, None)``.  An unknown
-    scenario, or equal-ser without ``p_err``, fails the whole grid: it
-    raises ``DomainError`` before the first point."""
+    scenario or family, or equal-ser without ``p_err``, fails the whole
+    grid: it raises ``DomainError`` before the first point."""
     _check_scenario(scenario, p_err)
+    valid = [(family, valid_receivers(family, scenario))
+             for family in pulse_set]
 
     def point(scenario, receiver, family, alpha, m):
         return gain_point(scenario, receiver,
                           pulses.PulseSpec(family, alpha),
                           _bias.Constellation.pam(m), p_err)
 
-    for family in pulse_set:
-        fam_receivers = (valid_receivers(family, scenario)
-                         if receivers is None else tuple(receivers))
+    for family, fam_receivers in valid:
+        if receivers is not None:
+            fam_receivers = tuple(receivers)
         if not fam_receivers:
             yield (scenario, "", family, None, None), UnsupportedError(
                 f"no receiver supports {family} in {scenario}")

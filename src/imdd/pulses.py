@@ -25,11 +25,6 @@ from .errors import DomainError, UnsupportedError
 
 ALPHA_MIN = 0.01
 
-# Half-width (in units of ts) of the window around each removable singularity
-# inside which the exact limit value is substituted.  Outside this window the
-# generic formulas lose at most ~1e-10 relative accuracy to cancellation.
-SING_WINDOW = 1e-6
-
 FAMILIES = ("rc", "btn", "pl", "poly", "s2", "src", "sdj", "rrc", "xia")
 
 _LN2 = math.log(2.0)
@@ -85,14 +80,11 @@ class PulseMetadata:
 # ---------------------------------------------------------------------------
 
 def _rc(u, a):
-    """Raised cosine; removable singularity at |u| = 1/(2a)."""
-    s = 1.0 / (2.0 * a)
-    sing = np.abs(np.abs(u) - s) < SING_WINDOW
-    den = 1.0 - (2.0 * a * u) ** 2
-    den = np.where(sing, 1.0, den)
-    snc = np.sinc(u)
-    q = snc * np.cos(np.pi * a * u) / den
-    return np.where(sing, (np.pi / 4.0) * snc, q)
+    # sinc(u) cos(pi a u)/(1 - 4 a^2 u^2); the factor cos(pi a u)/(1 - 2 a
+    # |u|) is (pi/2) sinc(a |u| - 1/2), which has no singularity.
+    x = np.abs(u)
+    return (np.pi / 2.0) * np.sinc(u) * np.sinc(a * x - 0.5) \
+        / (1.0 + 2.0 * a * x)
 
 
 def _btn(u, a):
@@ -107,17 +99,25 @@ def _pl(u, a):
 
 
 def _poly(u, a):
-    y = np.pi * a * u
-    # The generic form is 0/0 at t = 0 and loses precision to cancellation
-    # for small |y|; a two-term series (error < 1e-10 at the crossover) covers
-    # |y| < 1e-2 and shows the t -> 0 limit is exactly 1.
-    small = np.abs(y) < 1e-2
-    y_safe = np.where(small, 1.0, y)
+    # 3 sinc(u) sin(h) (sin h - h cos h)/h^4 with h = pi a u/2.  The
+    # bracket cancels to h^3/3 as h -> 0, so below |h| = 1 it is summed
+    # from its Taylor series sum_n (-1)^(n+1) 2n h^(2n+1)/(2n+1)!.
+    h = (0.5 * np.pi * a) * u
+    s = np.sin(h)
     snc = np.sinc(u)
-    q = 3.0 * snc * (np.sinc(a * u / 2.0) ** 2 - np.sinc(a * u)) \
-        / (y_safe / 2.0) ** 2
-    series = snc * (1.0 - y * y / 15.0)
-    return np.where(small, series, q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = 3.0 * snc * s * (s - h * np.cos(h)) / (h * h) ** 2
+    small = np.abs(h) < 1.0
+    if small.any():
+        hs = h[small]
+        term = np.full_like(hs, 1.0 / 3.0)      # the bracket over h^3
+        series, n = term.copy(), 1
+        while np.any(np.abs(term) > 1e-17):
+            term *= -hs * hs / (2 * n * (2 * n + 3))
+            series += term
+            n += 1
+        q[small] = 3.0 * snc[small] * np.sinc(hs / np.pi) * series
+    return q
 
 
 def _s2(u, a):
@@ -135,18 +135,28 @@ def _sdj(u, a):
 
 
 def _rrc(u, a):
-    s = 1.0 / (4.0 * a)
-    at_zero = np.abs(u) < SING_WINDOW
-    at_s = np.abs(np.abs(u) - s) < SING_WINDOW
-    u_safe = np.where(at_zero | at_s, 0.5 * s, u)  # any regular point
-    num = np.sin(np.pi * (1.0 - a) * u_safe) \
-        + 4.0 * a * u_safe * np.cos(np.pi * (1.0 + a) * u_safe)
-    den = np.pi * u_safe * (1.0 - (4.0 * a * u_safe) ** 2)
-    q = num / den
-    v0 = 1.0 - a + 4.0 * a / np.pi
-    vs = (a / np.sqrt(2.0)) * ((1.0 + 2.0 / np.pi) * np.sin(np.pi * s)
-                               + (1.0 - 2.0 / np.pi) * np.cos(np.pi * s))
-    return np.where(at_zero, v0, np.where(at_s, vs, q))
+    # [sin(pi (1 - a) u) + w cos(pi (1 + a) u)]/(pi u (1 - w^2)), w = 4 a u,
+    # is exact where |w| >= 3/2, as |1 - w^2| >= 5/4 there.  Below, two
+    # rearrangements in x = |u| without the poles x = 0 and |w| = 1 take
+    # over; they cost one more transcendental call, so only those few
+    # values pay it.
+    w = (4.0 * a) * u
+    w2 = w * w
+    c = np.cos((np.pi * (1.0 + a)) * u)
+    near = w2 < 2.25
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = (np.sin((np.pi * (1.0 - a)) * u) + w * c) \
+            / (np.pi * u * (1.0 - w2))
+        if near.any():
+            xn, cn = np.abs(u[near]), c[near]
+            wn = (4.0 * a) * xn
+            low = ((1.0 - a) * np.sinc((1.0 - a) * xn)
+                   + (4.0 * a / np.pi) * cn) / (1.0 - wn * wn)
+            mid = ((np.pi / 2.0) * np.sinc(0.25 * (1.0 - wn))
+                   * np.cos(np.pi * xn - np.pi / 4.0) - cn) \
+                / (np.pi * xn * (1.0 + wn))
+            q[near] = np.where(wn < 0.5, low, mid)
+    return q
 
 
 def _xia(u, a):

@@ -197,6 +197,41 @@ class TestGainCommand:
         assert len(failures) == 1
 
 
+class TestPulseAll:
+    """``--pulse all`` names the families the command can serve with the
+    requested receivers, so no point fails by construction."""
+
+    @pytest.mark.parametrize("argv, column, families", [
+        (["gain", "--scenario", "equal-eye"], 2,
+         sorted(set(pulses.FAMILIES) - {"rrc"})),
+        (["gain", "--scenario", "equal-ser", "--receiver", "matched"], 2,
+         ["rrc", "xia"]),
+        (["ser", "--receiver", "matched", "--n", "10000"], 0,
+         ["rrc", "xia"])],
+        ids=["gain-equal-eye", "gain-equal-ser-matched", "ser-matched"])
+    def test_rows_for_the_served_families_only(self, tmp_path, capsys, argv,
+                                              column, families):
+        out = tmp_path / "a.csv"
+        rc = cli.main([*argv, "--pulse", "all", "--alpha", "0.5",
+                       "-o", str(out)])
+        assert rc == 0
+        _, rows = data_rows(out)
+        assert [r[column] for r in rows] == families
+        assert not (tmp_path / "a.errors.csv").exists()
+        assert capsys.readouterr().err == ""
+
+    def test_no_served_family_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "a.csv"
+        rc = cli.main(["gain", "--scenario", "equal-eye", "--receiver",
+                       "matched", "--pulse", "all", "--alpha", "0.5",
+                       "-o", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --pulse all: no pulse family takes the matched receiver "
+            "in equal-eye"]
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestWaveformCommand:
     def test_rows_and_parameter_echo(self, tmp_path):
         out = tmp_path / "w.csv"

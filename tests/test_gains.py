@@ -174,6 +174,15 @@ class TestSweep:
         with pytest.raises(DomainError):
             call(scenario, p_err)
 
+    @pytest.mark.parametrize("receivers", [None, ("sampling",)])
+    def test_unknown_family_fails_before_the_first_point(self, receivers):
+        # a grid that names an unknown family yields nothing: not even the
+        # points of the families before it
+        grid = gains.gain_grid("equal-eye", ["rc", "foo"], [0.5], [2],
+                               receivers=receivers)
+        with pytest.raises(DomainError, match="unknown pulse family"):
+            next(grid)
+
     def test_unsupported_family_is_recorded_not_raised(self):
         points, failures = _sweep("equal-eye", ["rrc"], [0.5], [2])
         assert [key[2] for key, _ in failures] == ["rrc"]

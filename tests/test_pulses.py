@@ -106,19 +106,55 @@ class TestRemovableSingularities:
                 assert abs(pulses.evaluate(p, pole + d) - float(exact)) \
                     <= 1e-15
 
-    def test_poly_series_branch_matches_direct_formula(self):
-        p = pulses.PulseSpec("poly", 0.5)
-        # straddle the small-argument switchover
-        t = np.array([1e-9, 1e-6, 1e-4, 1e-2])
-        q = pulses.evaluate(p, t)
-        assert q[0] == pytest.approx(1.0, abs=1e-12)
-        assert np.all(np.isfinite(q))
-        # smoothness across the branch: compare against central differences
-        h = 1e-7
-        for tt in (1e-5, 1e-3):
-            left = pulses.evaluate(p, tt - h)
-            right = pulses.evaluate(p, tt + h)
-            assert abs(left - right) < 1e-5
+    @staticmethod
+    def _mp_pulse(family, alpha, u):
+        """The closed form in mpmath at the float u, its limit on a pole."""
+        a = mp.mpf(alpha)
+        if family == "src":
+            return TestRemovableSingularities._mp_pulse("rc", alpha, u) ** 2
+        if family == "rc":
+            den = 1 - 4 * a * a * u * u
+            return (mp.pi / 4 * mp.sincpi(u) if den == 0
+                    else mp.sincpi(u) * mp.cospi(a * u) / den)
+        if family == "rrc":
+            if u == 0:
+                return 1 - a + 4 * a / mp.pi
+            den = mp.pi * u * (1 - 16 * a * a * u * u)
+            if den == 0:
+                s = 1 / (4 * a)
+                return a / mp.sqrt(2) * ((1 + 2 / mp.pi) * mp.sinpi(s)
+                                         + (1 - 2 / mp.pi) * mp.cospi(s))
+            return (mp.sinpi((1 - a) * u)
+                    + 4 * a * u * mp.cospi((1 + a) * u)) / den
+        if u == 0:                                      # poly
+            return mp.mpf(1)
+        h = mp.pi * a * u / 2
+        # sin h - h cos h is h^3/3 to leading order: 80 digits keep 40
+        # of it down to |u| = 1e-12
+        with mp.workdps(80):
+            return (3 * mp.sincpi(u) * mp.sin(h)
+                    * (mp.sin(h) - h * mp.cos(h)) / h ** 4)
+
+    @pytest.mark.parametrize("family", ["rc", "src", "rrc", "poly"])
+    @pytest.mark.parametrize("alpha", [0.01, 0.3, 0.6, 0.715, 1.0])
+    def test_matches_mpmath_next_to_its_singularities(self, family, alpha):
+        # rc and src at |u| = 1/(2 alpha), rrc at 0 and 1/(4 alpha), poly
+        # at 0 and across |pi alpha u/2| = 1, where its series hands over
+        # to the closed form.  A window that put in the limit values was
+        # 5e-7 off for rc and 2e-6 for rrc at 1e-6 from the pole, and a
+        # two-term poly series below |pi alpha u| = 1e-2 was 2.7e-11 off
+        # at that switchover.
+        points = {"rc": [0.5, -0.5], "src": [0.5], "rrc": [0.0, 0.25, -0.25],
+                  "poly": [0.0, 0.01 / np.pi, 2.0 / np.pi, -2.0 / np.pi]}[family]
+        p = pulses.PulseSpec(family, alpha)
+        with mp.workdps(40):
+            for c in points:
+                pole = c / alpha
+                for d in (-1e-6, -1e-7, -1e-9, -1e-12, 0.0, 1e-12, 1e-9,
+                          1e-7, 1e-6):
+                    exact = self._mp_pulse(family, alpha, mp.mpf(pole + d))
+                    assert abs(pulses.evaluate(p, pole + d) - float(exact)) \
+                        <= 1e-15, (pole, d)
 
 
 class TestSymmetry:

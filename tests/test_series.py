@@ -30,46 +30,6 @@ def raw_tail_bound(p, coef, k):
     return 2.0 * coef * (k ** -p + k ** (1.0 - p) / (p - 1.0))
 
 
-def block_buffer_fold(eval_fn, ts, t, k, decay, chunk_elems=8_000_000):
-    """Reference fold: each block of ``chunk_elems`` shifts is evaluated
-    into one block-sized buffer and reduced by a single numpy sum.  Its
-    bits are the ones ``folded_pair``'s pieces must keep."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    k = int(k)
-    if k % 2:
-        k += 1
-    half = k // 2
-
-    core = np.zeros_like(t)
-    wing = np.zeros_like(t)
-
-    block = max(1, chunk_elems // max(1, t.size))
-    piece = max(1, (1 << 16) // max(1, t.size))
-    buf = np.empty((min(block, k + 1), t.size))
-
-    def accumulate(j_lo, j_hi, acc):
-        for lo in range(j_lo, j_hi + 1, block):
-            hi = min(lo + block - 1, j_hi)
-            shifts = np.arange(lo, hi + 1, dtype=float) * ts
-            vals = buf[:len(shifts)]
-            for p0 in range(0, len(shifts), piece):
-                vals[p0:p0 + piece] = eval_fn(
-                    t[None, :] - shifts[p0:p0 + piece, None])
-            np.negative(vals, out=vals)
-            acc += np.maximum(vals, 0.0, out=vals).sum(axis=0)
-
-    accumulate(-half, half, core)
-    accumulate(-k, -half - 1, wing)
-    accumulate(half + 1, k, wing)
-    return _series.extrapolate(core, wing, decay)
-
-
-def everywhere_negative(x):
-    """Negative at every shift, with magnitudes spread over 1e-4..1e4, so
-    every term counts and the order of the sum shows in its bits."""
-    return -(1.0 + np.abs(np.sin(3.7 * x)) * 10.0 ** (4.0 * np.cos(1.3 * x)))
-
-
 class TestBudget:
     def test_k_grows_as_tolerance_shrinks(self):
         p, coef, u0 = pulses.tail_envelope(pulses.PulseSpec("rc", 0.3))
@@ -159,51 +119,24 @@ class TestFoldedPair:
         a2 = _series.folded_pair(fn, 1.0, [0.25], 102, 2.0)
         np.testing.assert_array_equal(a1, a2)
 
-    def test_chunking_is_transparent(self):
-        # partial sums are re-partitioned, so only rounding-level drift
-        pulse = pulses.PulseSpec("pl", 0.5)
-        fn = lambda x: pulses.evaluate(pulse, x)
-        t = np.linspace(0, 1, 11)
-        big = _series.folded_pair(fn, 1.0, t, 2048, 1.0)
-        small = _series.folded_pair(fn, 1.0, t, 2048, 1.0, chunk_elems=1000)
-        np.testing.assert_allclose(small, big, rtol=0, atol=1e-12)
+    def test_chunking_is_transparent(self, monkeypatch):
+        # at one t and on a grid, every piece size, down to single shifts,
+        # gives the one-shot sum over all 2k + 1 shifts to rounding; the
+        # pulse is negative at every shift, so a dropped term would show
+        def fn(x):
+            return -(1.0 + np.abs(np.sin(3.7 * x)))
 
-    @pytest.mark.parametrize("t", [[0.3], np.linspace(0, 1, 11)])
-    def test_evaluation_pieces_change_no_bit(self, monkeypatch, t):
-        # unlike the summation blocks, the evaluation pieces only split the
-        # elementwise pulse evaluation, so the sum must not move at all
-        pulse = pulses.PulseSpec("xia", 0.5)
-        fn = lambda x: pulses.evaluate(pulse, x)
-        whole = _series.folded_pair(fn, 1.0, t, 2048, 1.0, chunk_elems=9000)
-        monkeypatch.setattr(_series, "EVAL_CHUNK_ELEMS", 37)
-        pieces = _series.folded_pair(fn, 1.0, t, 2048, 1.0, chunk_elems=9000)
-        np.testing.assert_array_equal(pieces, whole)
-
-
-    @pytest.mark.parametrize("eval_fn", [
-        everywhere_negative,
-        lambda x: pulses.evaluate(pulses.PulseSpec("btn", 0.3), x)],
-        ids=["negative", "btn"])
-    @pytest.mark.parametrize("t,k,small_chunk", [
-        ([0.3], 10_001, 3_000), ([0.3], 10_000, 3_000),
-        (np.linspace(0.0, 0.5, 2049), 161, 2049 * 50),
-        (np.linspace(0.0, 0.5, 2049), 200, 2049 * 50)],
-        ids=["one-t-odd-k", "one-t-even-k", "grid-odd-k", "grid-even-k"])
-    @pytest.mark.parametrize("chunked", [False, True],
-                             ids=["one-block", "blocks"])
-    def test_pieces_keep_the_block_buffer_bits(self, monkeypatch, eval_fn,
-                                               t, k, small_chunk, chunked):
-        # every piece size, including ones below numpy's 128-value pairwise
-        # block and ones that split a grid's rows one at a time, must give
-        # the bits of the block-buffer fold; the small chunk makes k span
-        # several blocks
-        chunk = small_chunk if chunked else 8_000_000
-        ref = block_buffer_fold(eval_fn, 1.0, t, k, 1.0, chunk_elems=chunk)
-        for elems in (37, 128, 1 << 13):
-            monkeypatch.setattr(_series, "EVAL_CHUNK_ELEMS", elems)
-            got = _series.folded_pair(eval_fn, 1.0, t, k, 1.0,
-                                      chunk_elems=chunk)
-            np.testing.assert_array_equal(got, ref)
+        k, half = 2048, 1024
+        j = np.arange(-k, k + 1)
+        for t in ([0.3], np.linspace(0, 1, 11)):
+            terms = -fn(np.asarray(t)[None, :] - j[:, None])
+            core = terms[np.abs(j) <= half].sum(axis=0)
+            ref = _series.extrapolate(core, terms.sum(axis=0) - core, 1.0)
+            for elems in (1, 37, 128, 9000, _series.EVAL_CHUNK_ELEMS):
+                monkeypatch.setattr(_series, "EVAL_CHUNK_ELEMS", elems)
+                got = _series.folded_pair(fn, 1.0, t, k, 1.0)
+                np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+            monkeypatch.undo()
 
     @pytest.mark.parametrize("t,k", [
         ([0.3], 723_816), (np.linspace(0.0, 0.5, 2049), 724)],
