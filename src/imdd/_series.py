@@ -31,8 +31,9 @@ K_CAP = 1_000_000          # hard cap on the fold half-width
 # test suite): measured post-step errors sit 8-30x below this model, so the
 # budget it yields keeps a comfortable safety margin without overpaying.
 ACCEL_GAIN = 16.0
-# Pulse values per piece of a fold: 64 KiB temporaries are reused from the
-# heap instead of being mapped afresh.
+# Values per piece of a fold, truncated or exact (``bias`` sums an exact
+# fold's P classes for EVAL_CHUNK_ELEMS // P offsets at a time): 64 KiB
+# temporaries are reused from the heap instead of being mapped afresh.
 EVAL_CHUNK_ELEMS = 1 << 13
 
 

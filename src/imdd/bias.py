@@ -17,7 +17,9 @@ are Nyquist, so F(0) = q(0) gives c1 = (q(0) - q_bar)/2.  N does not
 depend on the levels, so one cached search of N serves every constellation
 and the peak of sum |q|.  N is summed exactly by residue classes for ``pl``
 (alpha < 1) and ``xia`` at alpha = n/d with d <= _MAX_DEN, and as a
-truncated, tail-accelerated series otherwise.
+truncated, tail-accelerated series otherwise.  An exact value depends only
+on its offset: ``xia``'s pole window is chosen per value, and the piece
+size moves only the truncated fold's rounding.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -137,7 +139,40 @@ def _period(alpha: float) -> int | None:
     return 2 * frac.denominator if float(frac) == alpha else None
 
 
-def _pl_fold(alpha: float, period: int, t):
+def _class_fold(formula):
+    """An exact fold N(alpha, period, t), one value per offset, from a class
+    formula: a generator that gets t as columns of EVAL_CHUNK_ELEMS // P
+    offsets and yields each one's sums over the P classes.  It frees a
+    piece's temporaries only as the next piece's replace them, so the heap
+    is not handed back and faulted in again after each piece.  A row
+    depends only on its own offset, so the piece size moves no value."""
+    @wraps(formula)
+    def fold(alpha: float, period: int, t):
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        rows = max(1, _series.EVAL_CHUNK_ELEMS // period)
+        pieces = (t[lo:lo + rows, None] for lo in range(0, t.size, rows))
+        return np.concatenate(list(formula(alpha, period, pieces)))
+    return fold
+
+
+@lru_cache(maxsize=64)
+def _classes(alpha: float, period: int, b: float = 0.0):
+    """The per-class constants of an exact fold, once per search: the
+    classes r < P, their shifts r - b, those with r or r - b within 2 of 1/2
+    (all that can come within 1 of a t in (-1/2, 3/2)), and the sines and
+    cosines of pi alpha r (signed by (-1)^r), pi r/P and pi (r - b)/P."""
+    r = np.arange(period, dtype=float)
+    shift = r - b
+    near = np.flatnonzero((abs(r - 0.5) < 2.0) | (abs(shift - 0.5) < 2.0))
+    sign = 1.0 - 2.0 * (r % 2)
+    return (r, shift, near,
+            sign * np.sin(np.pi * alpha * r), sign * np.cos(np.pi * alpha * r),
+            np.sin(np.pi * r / period), np.cos(np.pi * r / period),
+            np.sin(np.pi * shift / period), np.cos(np.pi * shift / period))
+
+
+@_class_fold
+def _pl_fold(alpha: float, period: int, pieces):
     """pl's negative-part fold N at the offsets t, summed exactly.
 
     On the residue class j = r (mod P), q(t - j) = s_r(t) / (pi^2 alpha
@@ -149,50 +184,22 @@ def _pl_fold(alpha: float, period: int, t):
 
     Both sines of t - r are expanded by the angle-sum rule, so a value
     costs a few products.  A class with s_r = 0 adds 0 without dividing,
-    so N(0) = 0 has no 0/0.  Rows go in pieces of about EVAL_CHUNK_ELEMS
-    values.  Returns an array shaped like ``np.atleast_1d(t)``.
+    so N(0) = 0 has no 0/0.
     """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    r = np.arange(period)
-    sign = 1.0 - 2.0 * (r % 2)
-    sin_a = sign * np.sin(np.pi * alpha * r)
-    cos_a = sign * np.cos(np.pi * alpha * r)
-    sin_p = np.sin(np.pi * r / period)
-    cos_p = np.cos(np.pi * r / period)
-    out = np.empty(t.size)
-    rows = max(1, _series.EVAL_CHUNK_ELEMS // period)
-    for lo in range(0, t.size, rows):
-        u = t[lo:lo + rows, None]
-        neg = np.sin(np.pi * u) * (np.cos(np.pi * alpha * u) * sin_a
-                                   - np.sin(np.pi * alpha * u) * cos_a)
+    _, _, _, sin_a, cos_a, sin_p, cos_p, _, _ = _classes(alpha, period)
+    for u in pieces:
+        au, pu = np.pi * alpha * u, np.pi * u / period
+        neg = np.sin(np.pi * u) * (np.cos(au) * sin_a - np.sin(au) * cos_a)
         np.maximum(neg, 0.0, out=neg)
-        den = period * (np.sin(np.pi * u / period) * cos_p
-                        - np.cos(np.pi * u / period) * sin_p)
+        den = period * (np.sin(pu) * cos_p - np.cos(pu) * sin_p)
         den *= alpha * den
-        out[lo:lo + rows] = np.divide(neg, den, out=np.zeros_like(neg),
-                                      where=neg > 0.0).sum(axis=1)
-    return out
+        yield np.divide(neg, den, out=np.zeros_like(neg),
+                        where=neg > 0.0).sum(axis=1)
 
 
-@lru_cache(maxsize=64)
-def _xia_classes(alpha: float, period: int):
-    """The per-class constants of ``_xia_fold``, computed once per search:
-    b, the class sum's factor (pi/P) sin(pi b/P), the classes r and their
-    shifts r - b, and the sines and cosines of pi alpha r (signed by
-    (-1)^r), pi r/P and pi (r - b)/P."""
-    b = 0.5 / alpha
-    r = np.arange(period, dtype=float)
-    shift = r - b
-    sign = 1.0 - 2.0 * (r % 2)
-    return (b, np.pi / period * np.sin(np.pi * b / period), r, shift,
-            sign * np.sin(np.pi * alpha * r), sign * np.cos(np.pi * alpha * r),
-            np.sin(np.pi * r / period), np.cos(np.pi * r / period),
-            np.sin(np.pi * shift / period), np.cos(np.pi * shift / period))
-
-
-def _xia_fold(alpha: float, period: int, t):
-    """xia's negative-part fold N at the offsets t in (-1/2, 3/2), summed
-    exactly.
+@_class_fold
+def _xia_fold(alpha: float, period: int, pieces):
+    """xia's negative-part fold N, summed exactly at t in (-1/2, 3/2).
 
     On the residue class j = r (mod P), q(t - j) = c_r(t) g(t - j) / pi
     with c_r(t) = (-1)^r sin(pi t) cos(pi alpha (t - r)), constant on the
@@ -214,44 +221,39 @@ def _xia_fold(alpha: float, period: int, t):
     a few products.  Next to the poles z = 0 and z = -b of g, where c_r
     and S_r's denominator vanish together, both are taken directly as
     sin(pi z) sin(pi alpha (z + b)) and sin(w) sin(w + pi b/P), so they
-    keep their relative accuracy and the product its absolute one.  A
-    shift exactly on a pole has c_r = 0 and adds max(-q(z), 0) from
-    ``pulses.evaluate``.  Rows go in pieces of about EVAL_CHUNK_ELEMS
-    values.  Returns an array shaped like ``np.atleast_1d(t)``.
+    keep their relative accuracy and the product its absolute one, in a
+    window chosen per value: |z| < 1 or |z + b| < 1.  A shift exactly on a
+    pole has c_r = 0 and adds max(-q(z), 0) from ``pulses.evaluate``.
     """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    b, lattice, r, shift, sin_a, cos_a, sin_r, cos_r, sin_s, cos_s = (
-        _xia_classes(alpha, period))
-    out = np.empty(t.size)
-    rows = max(1, _series.EVAL_CHUNK_ELEMS // period)
-    for lo in range(0, t.size, rows):
-        u = t[lo:lo + rows, None]
+    b = 0.5 / alpha
+    r, shift, near, sin_a, cos_a, sin_r, cos_r, sin_s, cos_s = (
+        _classes(alpha, period, b))
+    lattice = np.pi / period * np.sin(np.pi * b / period)
+    for u in pieces:
         z, zb = u - r, u - shift
-        c = np.sin(np.pi * u) * (np.cos(np.pi * alpha * u) * cos_a
-                                 + np.sin(np.pi * alpha * u) * sin_a)
-        sin_u = np.sin(np.pi * u / period)
-        cos_u = np.cos(np.pi * u / period)
+        au, pu = np.pi * alpha * u, np.pi * u / period
+        c = np.sin(np.pi * u) * (np.cos(au) * cos_a + np.sin(au) * sin_a)
+        sin_u, cos_u = np.sin(pu), np.cos(pu)
         ss = (sin_u * cos_r - cos_u * sin_r) * (sin_u * cos_s - cos_u * sin_s)
-        # the classes with a shift within 1 of a pole in this piece
-        lo_t, hi_t = u.min() - 1.0, u.max() + 1.0
-        near = np.flatnonzero((r > lo_t) & (r < hi_t)
-                              | (shift > lo_t) & (shift < hi_t))
         zn, zbn = z[:, near], zb[:, near]
-        c[:, near] = np.sin(np.pi * zn) * np.sin(np.pi * alpha * zbn)
-        ss[:, near] = (np.sin(np.pi / period * zn)
-                       * np.sin(np.pi / period * zbn))
+        pole = (np.abs(zn) < 1.0) | (np.abs(zbn) < 1.0)
+        c[:, near] = np.where(
+            pole, np.sin(np.pi * zn) * np.sin(np.pi * alpha * zbn), c[:, near])
+        ss[:, near] = np.where(
+            pole, np.sin(np.pi / period * zn) * np.sin(np.pi / period * zbn),
+            ss[:, near])
         zz = z * zb
         star = np.divide(np.abs(c) * b, -zz, out=np.zeros_like(zz),
                          where=zz < 0.0)
         rest = np.divide(np.maximum(-c, 0.0) * lattice, ss,
                          out=np.zeros_like(ss), where=ss != 0.0)
-        out[lo:lo + rows] = (star + rest).sum(axis=1) / np.pi
-        hit = zz[:, near] == 0.0
-        if hit.any():
+        sums = (star + rest).sum(axis=1) / np.pi
+        if not zz.all():
+            hit = zz[:, near] == 0.0
             pulse = pulses.PulseSpec("xia", alpha)
             on_pole = np.maximum(-pulses.evaluate(pulse, zn[hit]), 0.0)
-            np.add.at(out, lo + np.nonzero(hit)[0], on_pole)
-    return out
+            np.add.at(sums, np.nonzero(hit)[0], on_pole)
+        yield sums
 
 
 def _c1(pulse: pulses.PulseSpec) -> float:
@@ -288,24 +290,28 @@ def _basins(obj) -> np.ndarray:
     return cand[np.argsort(obj[cand])[::-1]]
 
 
-# The families whose fold is summed exactly at alpha = n/d, d <= _MAX_DEN:
-# the class fold and whether N is even about t = 1/2.
-_EXACT = {"pl": (_pl_fold, True), "xia": (_xia_fold, False)}
+# The families whose fold is summed exactly at alpha = n/d, d <= _MAX_DEN.
+_EXACT = {"pl": _pl_fold, "xia": _xia_fold}
+
+
+def _coarse_grid(family: str) -> tuple[np.ndarray, bool]:
+    """The coarse grid, and whether N is even about t = 1/2: GRID_N points
+    over the period for ``xia``, GRID_N // 2 + 1 over half of it if even."""
+    if family == "xia":
+        return np.arange(GRID_N) * (1.0 / GRID_N), False
+    return np.linspace(0.0, 0.5, GRID_N // 2 + 1), True
 
 
 def _exact_search(family: str, alpha: float, period: int) -> _SearchResult:
-    """Maximize an exactly summed fold: the coarse grid over half a period
-    for an even N (GRID_N // 2 + 1 points), over the whole period otherwise
-    (GRID_N points), then golden refinement of every local maximum on it
-    where N > 0.  The surface has no truncation error, so no basin is
-    dropped and there is no polish; the result reports P as its k_trunc."""
-    class_fold, even = _EXACT[family]
+    """Maximize an exactly summed fold: golden refinement of every local
+    maximum of the coarse grid where N > 0.  With no truncation error no
+    basin is dropped and there is no polish; the result's k_trunc is P."""
+    class_fold = _EXACT[family]
 
     def fold(t: float) -> float:
         return float(class_fold(alpha, period, t)[0])
 
-    grid = (np.linspace(0.0, 0.5, GRID_N // 2 + 1) if even
-            else np.arange(GRID_N) * (1.0 / GRID_N))
+    grid, even = _coarse_grid(family)
     step = grid[1] - grid[0]
     obj = class_fold(alpha, period, grid)
     t_best, val = max((_series.golden_max(fold, grid[i] - 1.5 * step,
@@ -340,7 +346,6 @@ def _search(family: str, alpha: float) -> _SearchResult:
     period = _period(alpha) if family in _EXACT else None
     if period and not pulses.metadata(pulse).nonnegative:
         return _exact_search(family, alpha, period)
-    even = family != "xia"
 
     tol1, tol2 = _STAGE1_TOL, _STAGE2_TOL
     k1 = _k_for(pulse, tol1)
@@ -350,12 +355,7 @@ def _search(family: str, alpha: float) -> _SearchResult:
     if pulses.metadata(pulse).nonnegative:
         return _SearchResult(0.0, 0.0, k3)
 
-    if even:
-        n_pts = GRID_N // 2 + 1
-        grid = np.linspace(0.0, 0.5, n_pts)
-    else:
-        n_pts = GRID_N
-        grid = np.arange(n_pts) * (1.0 / n_pts)
+    grid, even = _coarse_grid(family)
     obj = _fold(pulse, grid, k1)
 
     # candidate basins: keep only the ones the stage-1 error could still be

@@ -135,9 +135,13 @@ def gain_grid(scenario: str, pulse_set, alphas, m_set,
     ``(scenario, receiver, pulse, alpha, m)``.  Without ``receivers`` each
     family gets every receiver valid for it; a family with none yields one
     failure keyed ``(scenario, "", pulse, None, None)``.  An unknown
-    scenario or family, or equal-ser without ``p_err``, fails the whole
-    grid: it raises ``DomainError`` before the first point."""
+    scenario, family or receiver, or equal-ser without ``p_err``, fails the
+    whole grid: it raises ``DomainError`` before the first point."""
     _check_scenario(scenario, p_err)
+    for receiver in receivers or ():
+        if receiver not in link.RECEIVERS:
+            raise DomainError(f"receiver must be one of {link.RECEIVERS}, "
+                              f"not {receiver!r}")
     valid = [(family, valid_receivers(family, scenario))
              for family in pulse_set]
 

@@ -233,7 +233,7 @@ class TestRequiredBias:
         def no_fold(*args, **kwargs):
             raise AssertionError("pl at alpha = 1 summed a fold")
 
-        monkeypatch.setitem(bias._EXACT, "pl", (no_fold, True))
+        monkeypatch.setitem(bias._EXACT, "pl", no_fold)
         monkeypatch.setattr(_series, "folded_pair", no_fold)
         bias.clear_caches()
         p = pulses.PulseSpec("pl", 1.0)
@@ -471,6 +471,21 @@ def test_exact_xia_fold_is_exact_next_to_its_poles(alpha):
     fold = bias._xia_fold(alpha, bias._period(alpha), t)
     oracle = np.array([xia_psi_fold(alpha, tt) for tt in t])
     np.testing.assert_allclose(fold, oracle, rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.1, 0.4, 0.5, 0.7, 0.9, 0.99, 1.0])
+@pytest.mark.parametrize("family", ["pl", "xia"])
+def test_exact_fold_value_depends_only_on_its_offset(monkeypatch, family,
+                                                     alpha):
+    # on the search's own grid, every value is bit for bit the one a call
+    # at that offset alone gives, whatever the piece size: no value may
+    # depend on which other offsets share its piece
+    fold, period = bias._EXACT[family], bias._period(alpha)
+    grid, _ = bias._coarse_grid(family)
+    alone = np.array([fold(alpha, period, t)[0] for t in grid])
+    for elems in (1, 37, 8192):
+        monkeypatch.setattr(_series, "EVAL_CHUNK_ELEMS", elems)
+        np.testing.assert_array_equal(fold(alpha, period, grid), alone)
 
 
 @pytest.mark.parametrize("alpha", [0.01, 0.1, 0.3, 0.5, 0.9, 0.99, 1.0])

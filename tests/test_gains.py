@@ -183,6 +183,14 @@ class TestSweep:
         with pytest.raises(DomainError, match="unknown pulse family"):
             next(grid)
 
+    def test_unknown_receiver_fails_before_the_first_point(self):
+        # a forced receiver that does not exist is one error for the whole
+        # grid, not one failed point per family, alpha and M
+        grid = gains.gain_grid("equal-ser", ["rc", "xia"], [0.5], [2], 1e-6,
+                               receivers=("foo",))
+        with pytest.raises(DomainError, match="receiver must be one of"):
+            next(grid)
+
     def test_unsupported_family_is_recorded_not_raised(self):
         points, failures = _sweep("equal-eye", ["rrc"], [0.5], [2])
         assert [key[2] for key, _ in failures] == ["rrc"]
