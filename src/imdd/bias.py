@@ -15,11 +15,10 @@ spectrum that vanishes at the band edge, so F(t) = q_bar + 2 c1 cos(2 pi t
 / ts) with c1 = 0 for B*ts <= 1.  The two wider pulses (``src``, ``sdj``)
 are Nyquist, so F(0) = q(0) gives c1 = (q(0) - q_bar)/2.  N does not
 depend on the levels, so one cached search of N serves every constellation
-and the peak of sum |q|.  N is summed exactly by residue classes for ``pl``
-(alpha < 1) and ``xia`` at alpha = n/d with d <= _MAX_DEN, and as a
-truncated, tail-accelerated series otherwise.  An exact value depends only
-on its offset: ``xia``'s pole window is chosen per value, and the piece
-size moves only the truncated fold's rounding.
+and the peak of sum |q|.  Nonnegative pulses have N = 0 and are not
+searched.  N is summed exactly by residue classes for ``pl`` and ``xia`` at
+alpha within 8 ulp of n/d with d <= _MAX_DEN, solved at n/d, and as a
+truncated, tail-accelerated series otherwise.
 """
 
 from __future__ import annotations
@@ -40,19 +39,12 @@ GRID_N = 4096              # coarse grid points over one period
 DEFAULT_TAIL_TOL = 1e-9    # modeled error of the final fold
 REFINE_TOL = 1e-10         # golden bracket width, in units of ts
 
-# Stage tolerances.  The coarse grid only has to find candidate basins and
-# the golden step only has to locate their maxima: both run on smooth
-# fixed-truncation surrogates whose argmax is within O(tol/K) of the true
-# one, so location accuracy costs far less than value accuracy.  Only the
-# final single-point polish pays for DEFAULT_TAIL_TOL.
-_STAGE1_TOL = 1e-3
-_STAGE2_TOL = 1e-6
-
 # Largest denominator d of an alpha = n/d whose fold is summed exactly, over
 # P = 2d residue classes.  The exact search costs O(P): measured on pl at
 # d = 500 it took 34-51 ms against the truncated search's 36-177 ms at the
 # same alpha, at d = 1000 it took 60-71 ms against 34 ms at alpha = 0.501.
 _MAX_DEN = 500
+_SNAP_ULPS = 8             # alpha this close to such an n/d is solved at it
 
 
 @dataclass(frozen=True)
@@ -113,7 +105,7 @@ class BiasSolution:
     """Result of the bias search: the bias itself, where the folded-sum
     supremum sits in [0, ts), and the fold half-width of the final,
     full-accuracy evaluation (the number of residue classes P for an
-    exactly summed fold)."""
+    exactly summed fold, 0 for a nonnegative pulse)."""
 
     mu: float
     argmax_t: float
@@ -130,13 +122,6 @@ def _fold(pulse: pulses.PulseSpec, t, k: int):
     p, _, _ = pulses.tail_envelope(pulse)
     return _series.folded_pair(lambda tt: pulses.evaluate(pulse, tt),
                                pulse.ts, t, k, p - 1.0)
-
-
-def _period(alpha: float) -> int | None:
-    """The class period P = 2d of alpha = n/d, d <= _MAX_DEN; None for any
-    other alpha."""
-    frac = Fraction(alpha).limit_denominator(_MAX_DEN)
-    return 2 * frac.denominator if float(frac) == alpha else None
 
 
 def _class_fold(formula):
@@ -282,16 +267,23 @@ class _SearchResult:
 def _basins(obj) -> np.ndarray:
     """Indices of the local maxima of a grid of fold values, the two ends
     included, best first."""
-    inner = np.zeros(obj.size, dtype=bool)
-    inner[1:-1] = (obj[1:-1] >= obj[:-2]) & (obj[1:-1] >= obj[2:])
-    inner[0] = obj[0] >= obj[1]
-    inner[-1] = obj[-1] >= obj[-2]
-    cand = np.flatnonzero(inner)
+    padded = np.r_[-np.inf, obj, -np.inf]
+    cand = np.flatnonzero((obj >= padded[:-2]) & (obj >= padded[2:]))
     return cand[np.argsort(obj[cand])[::-1]]
 
 
 # The families whose fold is summed exactly at alpha = n/d, d <= _MAX_DEN.
 _EXACT = {"pl": _pl_fold, "xia": _xia_fold}
+
+
+def _snap(alpha: float) -> Fraction | None:
+    """The n/d, d <= _MAX_DEN, within _SNAP_ULPS ulp of alpha, or None.
+    Float grids land up to 2 (np.arange), 1 (np.linspace) or 7 (a running
+    sum) ulp off k/d.  N moves by at most 32 per unit alpha (pl and xia at
+    0.01, 0.5 and 0.99), so the snap moves it by at most 5e-16."""
+    frac = Fraction(alpha).limit_denominator(_MAX_DEN)
+    near = abs(alpha - float(frac)) <= _SNAP_ULPS * math.ulp(alpha)
+    return frac if near else None
 
 
 def _coarse_grid(family: str) -> tuple[np.ndarray, bool]:
@@ -300,6 +292,19 @@ def _coarse_grid(family: str) -> tuple[np.ndarray, bool]:
     if family == "xia":
         return np.arange(GRID_N) * (1.0 / GRID_N), False
     return np.linspace(0.0, 0.5, GRID_N // 2 + 1), True
+
+
+def _refine(fold, grid: np.ndarray, i: int) -> tuple[float, float]:
+    """Golden-section maximum of fold in the basin around grid point i."""
+    step = grid[1] - grid[0]
+    return _series.golden_max(fold, grid[i] - 1.5 * step,
+                              grid[i] + 1.5 * step, REFINE_TOL)
+
+
+def _wrapped(fold, t: float, value: float, even: bool) -> tuple[float, float]:
+    """t wrapped into [0, 1), mirrored first if N is even, and N there."""
+    t_wrap = abs(t) % 1.0 if even else t % 1.0
+    return t_wrap, value if t_wrap == t else fold(t_wrap)
 
 
 def _exact_search(family: str, alpha: float, period: int) -> _SearchResult:
@@ -312,50 +317,30 @@ def _exact_search(family: str, alpha: float, period: int) -> _SearchResult:
         return float(class_fold(alpha, period, t)[0])
 
     grid, even = _coarse_grid(family)
-    step = grid[1] - grid[0]
     obj = class_fold(alpha, period, grid)
-    t_best, val = max((_series.golden_max(fold, grid[i] - 1.5 * step,
-                                          grid[i] + 1.5 * step, REFINE_TOL)
+    t_best, val = max((_refine(fold, grid, i)
                        for i in _basins(obj) if obj[i] > 0.0),
                       key=lambda tv: tv[1])
-    t_wrap = abs(t_best) % 1.0 if even else t_best % 1.0
-    return _SearchResult(t_wrap, val if t_wrap == t_best else fold(t_wrap),
-                         period)
+    return _SearchResult(*_wrapped(fold, t_best, val, even), period)
 
 
-@lru_cache(maxsize=4096)
-def _search(family: str, alpha: float) -> _SearchResult:
-    """Maximize the negative-part fold N(t) over one unit period [0, 1):
-    q(t) at symbol period ts is q(t/ts) at ts = 1, so N does not depend on
-    ts and every period shares one search.
-
-    Coarse uniform grid (half period for even pulses), golden refinement of
-    the leading basins, then one high-accuracy polish at the winner.  N does
-    not depend on the constellation, so every level set shares one search.
-    The stage windows below are those tuned on the OOK objective
-    sum |q| - sum q = 2 N, halved.
-
-    The three stage budgets are computed before any fold, so a tail too
-    slow for DEFAULT_TAIL_TOL raises NumericalDivergenceError at no cost.  A
-    nonnegative pulse has N = 0 at every t, so there is no search: the
-    result sits at t = 0 with the full-accuracy budget k3.  ``pl`` and
-    ``xia`` at an alpha with a small denominator take the exact path of
-    ``_exact_search`` instead.
+def _truncated_search(pulse: pulses.PulseSpec) -> _SearchResult:
+    """Maximize the truncated, tail-accelerated fold: a coarse grid and
+    golden refinement of the leading basins on cheap surrogates of fixed
+    truncation (tol1, tol2; windows tuned on the OOK objective 2 N, halved),
+    then one polish at DEFAULT_TAIL_TOL.  All three budgets are computed
+    before any fold, so a tail too slow raises NumericalDivergenceError at
+    no cost.  A surrogate can misrank basins: pl near alpha = 1 is negative
+    on a share ~ k (1 - alpha)/alpha of its k-th symbol interval, so at
+    alpha = 0.9899 the stage-1 fold (K = 64) keeps two basins near t = 0.17
+    and never refines the true argmax at t = 0.4955.
     """
-    pulse = pulses.PulseSpec(family, alpha)
-    period = _period(alpha) if family in _EXACT else None
-    if period and not pulses.metadata(pulse).nonnegative:
-        return _exact_search(family, alpha, period)
-
-    tol1, tol2 = _STAGE1_TOL, _STAGE2_TOL
+    tol1, tol2 = 1e-3, 1e-6
     k1 = _k_for(pulse, tol1)
     k2 = _k_for(pulse, tol2)
     k3 = max(_k_for(pulse, DEFAULT_TAIL_TOL), k2)
 
-    if pulses.metadata(pulse).nonnegative:
-        return _SearchResult(0.0, 0.0, k3)
-
-    grid, even = _coarse_grid(family)
+    grid, even = _coarse_grid(pulse.family)
     obj = _fold(pulse, grid, k1)
 
     # candidate basins: keep only the ones the stage-1 error could still be
@@ -370,13 +355,9 @@ def _search(family: str, alpha: float) -> _SearchResult:
     refined = []
     for idx in cand:
         # The coarse surrogate's truncation bias displaces its argmax by
-        # roughly pi*tol1/curvature, independent of the grid step, so the
-        # stage-2 bracket must be sized from the basin curvature rather
-        # than the grid.  Locate the coarse argmax (within 1 step of the
-        # grid winner), measure curvature there, then widen accordingly.
-        t1, _ = _series.golden_max(lambda t: surrogate(t, k1),
-                                   grid[idx] - 1.5 * step,
-                                   grid[idx] + 1.5 * step, REFINE_TOL)
+        # about pi*tol1/curvature, whatever the grid step, so the stage-2
+        # bracket is sized from the curvature at the coarse argmax.
+        t1, _ = _refine(lambda t: surrogate(t, k1), grid, idx)
         h = 0.25 * step
         kappa = -(surrogate(t1 - h, k1) - 2.0 * surrogate(t1, k1)
                   + surrogate(t1 + h, k1)) / (h * h)
@@ -388,9 +369,8 @@ def _search(family: str, alpha: float) -> _SearchResult:
 
     # polish every candidate the stage-2 error cannot separate from the
     # leader, then decide on the polished values; a parabolic top-up on the
-    # full-accuracy surface absorbs the residual argmax displacement.  The
-    # winner is refolded only if wrapping into [0, 1) moved it.
-    best = None
+    # full-accuracy surface absorbs the residual argmax displacement
+    winners = []
     for t_c, v_c in refined:
         if v_c < best_stage2 - 5.0 * tol2:
             continue
@@ -405,13 +385,31 @@ def _search(family: str, alpha: float) -> _SearchResult:
                 tri.append(t_v)
                 polished.append(surrogate(t_v, k3))
         i_best = int(np.argmax(polished))
-        t_best = tri[i_best]
-        t_wrap = abs(t_best) % 1.0 if even else t_best % 1.0
-        val = (polished[i_best] if t_wrap == t_best
-               else surrogate(t_wrap, k3))
-        if best is None or val > best.value:
-            best = _SearchResult(t_wrap, val, k3)
-    return best
+        winners.append(_wrapped(lambda t: surrogate(t, k3), tri[i_best],
+                                polished[i_best], even))
+    return _SearchResult(*max(winners, key=lambda tv: tv[1]), k3)
+
+
+@lru_cache(maxsize=4096)
+def _search(family: str, alpha: float) -> _SearchResult:
+    """Maximize the negative-part fold N(t) over one unit period [0, 1); N
+    depends neither on ts (q at period ts is q(t/ts) at 1) nor on the levels.
+
+    The path depends only on the pulse.  ``pl`` and ``xia`` at an alpha that
+    ``_snap`` puts at n/d are solved at the double nearest n/d through this
+    cache, so ulp neighbours share one result.  Then a nonnegative pulse
+    returns N = 0 at t = 0, with no fold and k_trunc 0; ``pl`` and ``xia``
+    at n/d take ``_exact_search``, every other pulse ``_truncated_search``.
+    """
+    pulse = pulses.PulseSpec(family, alpha)
+    frac = _snap(alpha) if family in _EXACT else None
+    if frac is not None and float(frac) != alpha:
+        return _search(family, float(frac))
+    if pulses.metadata(pulse).nonnegative:
+        return _SearchResult(0.0, 0.0, 0)
+    if frac is not None:
+        return _exact_search(family, alpha, 2 * frac.denominator)
+    return _truncated_search(pulse)
 
 
 def required_bias(pulse: pulses.PulseSpec,
@@ -437,6 +435,7 @@ def required_bias(pulse: pulses.PulseSpec,
 
 
 def clear_caches():
-    """Drop memoized search results, so the next bias of each pulse is
-    solved afresh (cold timings, or a test that changes GRID_N)."""
+    """Drop memoized searches and class tables, so the next bias of each
+    pulse is solved afresh (cold timings, or a test that changes GRID_N)."""
     _search.cache_clear()
+    _classes.cache_clear()

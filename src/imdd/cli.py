@@ -246,9 +246,9 @@ def _run_waveform(cfg: argparse.Namespace, t0: float) -> int:
         guards.choice(levels, size=guard)])
     grid = waveform.synthesize(pulse, constellation, train, mu=mu, a=cfg.a,
                                rate=cfg.rate)
-    t = grid.t
-    keep = (t >= 0.0) & (t < cfg.n_symbols * cfg.ts)
-    rows = list(zip(t[keep].tolist(), grid.samples[keep].tolist()))
+    # the block by index: t0 + i ts/rate may round across t = n ts
+    keep = slice(guard * cfg.rate, (guard + cfg.n_symbols) * cfg.rate)
+    rows = list(zip(grid.t[keep].tolist(), grid.samples[keep].tolist()))
     comments = (("pulse", family), ("alpha", alpha), ("m", m),
                 ("ts", cfg.ts), ("a", cfg.a), ("rate", cfg.rate),
                 ("seed", cfg.seed), ("n", cfg.n_symbols), ("mu", mu))

@@ -21,6 +21,18 @@ from mpmath import mp
 
 from imdd import pulses
 
+# Largest denominator of an alpha the class-sum oracles take: they cost
+# O(P) per value, P = 2d.
+MAX_DEN = 10_000
+
+
+def _fraction(alpha):
+    """The fraction n/d, d <= MAX_DEN, that alpha is the double nearest to;
+    any other alpha is refused rather than summed with a wrong period."""
+    frac = Fraction(alpha).limit_denominator(MAX_DEN)
+    assert float(frac) == alpha, f"alpha {alpha!r} is no n/d, d <= {MAX_DEN}"
+    return frac
+
 
 def pl_exact_fold(alpha, t):
     """N(t) = sum_k max(-q(t - k), 0) for pl, q(u) = sinc(u) sinc(alpha u),
@@ -31,7 +43,7 @@ def pl_exact_fold(alpha, t):
     each residue class r < P keeps one sign, and its lattice sum of
     1/(u - r - P m)^2 is pi^2 / (P^2 sin^2(pi (u - r)/P)).
     """
-    period = 2 * Fraction(alpha).limit_denominator(1000).denominator
+    period = 2 * _fraction(alpha).denominator
     u = np.asarray(t, dtype=float)[:, None]
     r = np.arange(period)
     s = ((-1.0) ** r * np.sin(np.pi * u) * np.sin(np.pi * alpha * (u - r))
@@ -41,11 +53,14 @@ def pl_exact_fold(alpha, t):
 
 
 def _refined_max(fold, coarse):
-    """max of fold: the coarse grid, then nested 21-point grid refinement
-    around its five best points."""
+    """max of fold: the coarse grid, 250 offsets at a time so that a class
+    table of P = 20,000 stays at 40 MB, then nested 21-point grid
+    refinement around its five best points."""
     best = 0.0
     step = coarse[1] - coarse[0]
-    for t in coarse[np.argsort(fold(coarse))[-5:]]:
+    coarse_vals = np.concatenate([fold(coarse[i:i + 250])
+                                  for i in range(0, coarse.size, 250)])
+    for t in coarse[np.argsort(coarse_vals)[-5:]]:
         s = step
         for _ in range(8):
             grid = np.clip(np.linspace(t - s, t + s, 21), coarse[0],
@@ -69,7 +84,7 @@ def pl_zeta_fold(alpha, t):
     with s_r(t) < 0 adds -s_r / (pi^2 alpha) times its lattice sum
     sum_m 1/(t - r - P m)^2 = (zeta(2, x) + zeta(2, 1 - x)) / P^2, with
     x = (t - r)/P mod 1 and zeta the Hurwitz zeta function."""
-    frac = Fraction(alpha).limit_denominator(1000)
+    frac = _fraction(alpha)
     period = 2 * frac.denominator
     with mp.workdps(30):
         a = mp.mpf(frac.numerator) / frac.denominator
@@ -95,7 +110,7 @@ def xia_exact_fold(alpha, t):
     (pi/P) (cot(pi x/P) - cot(pi (x + b)/P)), so a class with c_r < 0 adds
     -c_r/pi times that sum less g(x*), and every class adds max(-q(x*), 0).
     """
-    period = 2 * Fraction(alpha).limit_denominator(1000).denominator
+    period = 2 * _fraction(alpha).denominator
     b = 0.5 / alpha
     u = np.asarray(t, dtype=float)[:, None]
     x = u - np.arange(period)
@@ -127,7 +142,7 @@ def xia_psi_fold(alpha, t):
     -b: with x0 the least shift > 0 and y1 = -x1 for the greatest x1 < -b,
     (psi((x0 + b)/P) - psi(x0/P) + psi(y1/P) - psi((y1 - b)/P)) / P.  The
     shift in [-b, 0], if there is one, adds max(-q, 0) itself."""
-    frac = Fraction(alpha).limit_denominator(1000)
+    frac = _fraction(alpha)
     period = 2 * frac.denominator
     with mp.workdps(30):
         a = mp.mpf(frac.numerator) / frac.denominator

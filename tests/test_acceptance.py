@@ -270,7 +270,7 @@ def test_criterion_08a_equal_eye_gap():
     gap, b_star = _max_gap(biased, unbiased4)
     alpha_star = 2.0 * b_star - 1.0
     oracle = {}
-    for alpha in (alpha_star - 0.01, alpha_star, alpha_star + 0.01):
+    for alpha in (round(alpha_star + d, 10) for d in (-0.01, 0.0, 0.01)):
         b = round((1.0 + alpha) / 2.0, 10)
         mu = pl_exact_bias(alpha)
         oracle[b] = 10.0 * math.log10(3.0 * (1.0 - alpha / 2.0)

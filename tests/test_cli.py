@@ -234,21 +234,26 @@ class TestPulseAll:
 
 class TestWaveformCommand:
     def test_rows_and_parameter_echo(self, tmp_path):
-        out = tmp_path / "w.csv"
-        rc = cli.main(["waveform", "--pulse", "rc", "--alpha", "0.6",
-                       "--n", "8", "--rate", "32", "-o", str(out)])
-        assert rc == 0
-        lines = read_lines(out)
-        comments = [ln for ln in lines if ln.startswith("# ")]
-        assert any(ln.startswith("# pulse=rc") for ln in comments)
-        assert any(ln.startswith("# mu=0.18456679") for ln in comments)
-        assert any(ln.startswith("# seed=0") for ln in comments)
-        header, rows = data_rows(out)
-        assert header == ["t", "value"]
-        assert len(rows) == 8 * 32                 # interior samples only
-        assert float(rows[0][0]) == 0.0
-        # intensity stays nonnegative at the required bias
-        assert min(float(r[1]) for r in rows) >= -1e-9
+        # at ts = 0.3 and 0.7 the grid time of sample 16*32 rounds below
+        # 16*ts, so a block taken by comparing times kept one sample more
+        for ts in ("1", "0.3", "0.7"):
+            out = tmp_path / f"w{ts}.csv"
+            rc = cli.main(["waveform", "--pulse", "rc", "--alpha", "0.6",
+                           "--n", "16", "--rate", "32", "--ts", ts,
+                           "-o", str(out)])
+            assert rc == 0
+            lines = read_lines(out)
+            comments = [ln for ln in lines if ln.startswith("# ")]
+            assert any(ln.startswith("# pulse=rc") for ln in comments)
+            assert any(ln.startswith("# mu=0.18456679") for ln in comments)
+            assert any(ln.startswith("# seed=0") for ln in comments)
+            header, rows = data_rows(out)
+            assert header == ["t", "value"]
+            assert len(rows) == 16 * 32, ts        # interior samples only
+            assert float(rows[0][0]) == 0.0
+            assert float(rows[-1][0]) < 16 * float(ts)
+            # intensity stays nonnegative at the required bias
+            assert min(float(r[1]) for r in rows) >= -1e-9
 
     def test_json_params(self, tmp_path):
         out = tmp_path / "w.json"
