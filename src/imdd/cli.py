@@ -229,48 +229,47 @@ def _run_gain(cfg: argparse.Namespace, t0: float) -> int:
                     for key, res in results), t0, extra)
 
 
-def _run_waveform(cfg: argparse.Namespace, t0: float) -> int:
+def _single_point(cfg: argparse.Namespace, n_block: int):
+    """The pulse, constellation and symbol train of ``waveform`` and
+    ``eye``, and their common comment lines.  The train comes from
+    default_rng(seed): the block first, then the left and right guards."""
     family, alpha, m = cfg.pulse_set[0], cfg.alphas[0], cfg.m_values[0]
     pulse = pulses.PulseSpec(family, alpha, cfg.ts)
     constellation = bias.Constellation.pam(m)
-    mu = bias.required_bias(pulse, constellation).mu
-    # the guards come from default_rng(seed), left then right, and the
-    # block from a child of the seed, a stream of its own
     levels = np.asarray(constellation.levels)
     guard = pulses.effective_guard(pulse)
-    guards = np.random.default_rng(cfg.seed)
-    child = np.random.SeedSequence(cfg.seed).spawn(1)[0]
-    train = np.concatenate([
-        guards.choice(levels, size=guard),
-        np.random.default_rng(child).choice(levels, size=cfg.n_symbols),
-        guards.choice(levels, size=guard)])
+    rng = np.random.default_rng(cfg.seed)
+    block = rng.choice(levels, size=n_block)
+    train = np.concatenate([rng.choice(levels, size=guard), block,
+                            rng.choice(levels, size=guard)])
+    comments = (("pulse", family), ("alpha", alpha), ("m", m),
+                ("ts", cfg.ts), ("a", cfg.a), ("rate", cfg.rate),
+                ("seed", cfg.seed))
+    return pulse, constellation, train, comments
+
+
+def _run_waveform(cfg: argparse.Namespace, t0: float) -> int:
+    pulse, constellation, train, comments = _single_point(cfg, cfg.n_symbols)
+    mu = bias.required_bias(pulse, constellation).mu
     grid = waveform.synthesize(pulse, constellation, train, mu=mu, a=cfg.a,
                                rate=cfg.rate)
     # the block by index: t0 + i ts/rate may round across t = n ts
+    guard = pulses.effective_guard(pulse)
     keep = slice(guard * cfg.rate, (guard + cfg.n_symbols) * cfg.rate)
     rows = list(zip(grid.t[keep].tolist(), grid.samples[keep].tolist()))
-    comments = (("pulse", family), ("alpha", alpha), ("m", m),
-                ("ts", cfg.ts), ("a", cfg.a), ("rate", cfg.rate),
-                ("seed", cfg.seed), ("n", cfg.n_symbols), ("mu", mu))
+    comments += (("n", cfg.n_symbols), ("mu", mu))
     _write_rows(cfg, ("t", "value"), rows, t0, comments)
     return 0
 
 
 def _run_eye(cfg: argparse.Namespace, t0: float) -> int:
-    family, alpha, m = cfg.pulse_set[0], cfg.alphas[0], cfg.m_values[0]
-    pulse = pulses.PulseSpec(family, alpha, cfg.ts)
-    constellation = bias.Constellation.pam(m)
-    eye = waveform.eye_diagram(pulse, constellation, cfg.receiver,
-                               n_traces=cfg.n_traces, rate=cfg.rate,
-                               seed=cfg.seed, a=cfg.a)
-    rows = []
-    for i in range(eye.traces.shape[0]):
-        for t_val, v in zip(eye.t.tolist(), eye.traces[i].tolist()):
-            rows.append((i, t_val, v))
-    comments = (("pulse", family), ("alpha", alpha), ("m", m),
-                ("ts", cfg.ts), ("a", cfg.a), ("rate", cfg.rate),
-                ("seed", cfg.seed), ("receiver", cfg.receiver),
-                ("traces", cfg.n_traces))
+    pulse, constellation, train, comments = _single_point(
+        cfg, cfg.n_traces + 1)
+    eye = waveform.eye_diagram(pulse, constellation, train, cfg.receiver,
+                               a=cfg.a, rate=cfg.rate)
+    rows = [(i, t, v) for i, trace in enumerate(eye.traces.tolist())
+            for t, v in zip(eye.t.tolist(), trace)]
+    comments += (("receiver", cfg.receiver), ("traces", cfg.n_traces))
     _write_rows(cfg, ("trace", "t", "value"), rows, t0, comments)
     return 0
 
@@ -432,6 +431,8 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
             raise DomainError("--target must be >= 1")
     if args.command == "waveform" and args.n_symbols < 1:
         raise DomainError("--n must be >= 1")
+    if args.command == "eye" and args.n_traces < 1:
+        raise DomainError("--traces must be >= 1")
     if args.command in ("waveform", "eye") and (
             len(args.pulse_set) > 1 or len(args.alphas) > 1
             or len(args.m_values) > 1):

@@ -51,6 +51,14 @@ class PulseSpec:
         if fam not in FAMILIES:
             raise DomainError(f"unknown pulse family {self.family!r}; "
                               f"expected one of {FAMILIES}")
+        # plain floats, as Constellation stores its levels: the exact folds
+        # take Fraction(alpha), which refuses a numpy float32
+        for name in ("alpha", "ts"):
+            try:
+                object.__setattr__(self, name, float(getattr(self, name)))
+            except (TypeError, ValueError) as exc:
+                raise DomainError(f"{name} must be a real number, not "
+                                  f"{getattr(self, name)!r}") from exc
         if not (ALPHA_MIN <= self.alpha <= 1.0):
             raise DomainError(f"alpha={self.alpha} outside [{ALPHA_MIN}, 1]")
         if not 0.0 < self.ts < math.inf:

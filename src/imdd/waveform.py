@@ -2,11 +2,11 @@
 
 The transmitted optical intensity is x(t) = A (mu + sum_k a_k q(t - k ts))
 over a finite symbol block padded by guard symbols on both sides, so that
-edge transients never touch the interior.  ``synthesize`` takes the whole
-train from its caller; ``eye_diagram`` draws its own.  Superposition is
-carried out by FFT convolution of the symbol impulse train with a
-full-length sampled pulse, which is the exact shifted-sum up to float
-rounding.
+edge transients never touch the interior.  ``synthesize`` and
+``eye_diagram`` take the whole train from their caller and draw no random
+numbers.  Superposition is carried out by FFT convolution of the symbol
+impulse train with a full-length sampled pulse, which is the exact
+shifted-sum up to float rounding.
 """
 
 from __future__ import annotations
@@ -75,19 +75,10 @@ def _superpose(response, pulse: pulses.PulseSpec, full_symbols: np.ndarray,
     return fftconvolve(up, taps)
 
 
-def synthesize(pulse: pulses.PulseSpec, constellation: _bias.Constellation,
-               symbols, *, mu: float, a: float = 1.0, rate: int = 32,
-               guard: int | None = None) -> WaveformGrid:
-    """Sample x(t) = a*(mu + sum a_k q(t - k ts)) over a given symbol train.
-
-    ``symbols`` is the whole train: a block with ``guard`` symbols on each
-    side (``pulses.effective_guard`` by default), which the caller draws.
-    The grid starts at t0 = -guard*ts, so t = 0 is the block's first
-    symbol.  No random numbers are drawn here.
-    """
-    link.require_count("rate", rate, MIN_RATE)
-    link.require_nonnegative("amplitude a", a)
-    _require_finite_bias(mu)
+def _check_train(pulse: pulses.PulseSpec, constellation: _bias.Constellation,
+                 symbols, guard: int | None = None) -> tuple[np.ndarray, int]:
+    """The train as floats, and its guard: constellation levels, a block
+    between ``guard`` symbols on each side (``effective_guard`` at least)."""
     symbols = np.asarray(symbols, dtype=float)
     if symbols.ndim != 1:
         raise DomainError("symbols must be a 1-D sequence")
@@ -103,7 +94,23 @@ def synthesize(pulse: pulses.PulseSpec, constellation: _bias.Constellation,
     if symbols.size <= 2 * guard:
         raise DomainError(f"symbols must hold a block between {guard} guard "
                           f"symbols on each side, not {symbols.size} in all")
+    return symbols, guard
 
+
+def synthesize(pulse: pulses.PulseSpec, constellation: _bias.Constellation,
+               symbols, *, mu: float, a: float = 1.0, rate: int = 32,
+               guard: int | None = None) -> WaveformGrid:
+    """Sample x(t) = a*(mu + sum a_k q(t - k ts)) over a given symbol train.
+
+    ``symbols`` is the whole train: a block with ``guard`` symbols on each
+    side (``pulses.effective_guard`` by default), which the caller draws.
+    The grid starts at t0 = -guard*ts, so t = 0 is the block's first
+    symbol.  No random numbers are drawn here.
+    """
+    link.require_count("rate", rate, MIN_RATE)
+    link.require_nonnegative("amplitude a", a)
+    _require_finite_bias(mu)
+    symbols, guard = _check_train(pulse, constellation, symbols, guard)
     train = _superpose(pulses.evaluate, pulse, symbols, rate)
     return WaveformGrid(samples=a * (mu + train), rate=rate,
                         t0=-guard * pulse.ts, ts=pulse.ts)
@@ -128,37 +135,26 @@ def optical_powers(pulse: pulses.PulseSpec,
 
 
 def eye_diagram(pulse: pulses.PulseSpec, constellation: _bias.Constellation,
-                receiver: str = "sampling", n_traces: int = 64,
-                rate: int = 32, seed: int = 0, *,
-                a: float = 1.0) -> EyeTraces:
-    """Noise-free receiver output sliced into overlapping 2*ts windows.
+                symbols, receiver: str = "sampling", *, a: float = 1.0,
+                rate: int = 32) -> EyeTraces:
+    """Noise-free receiver output over a given train in 2*ts windows.
 
-    The output is a*(mu*dc + sum a_k h(t - k ts)) with the receiver's
-    ``link.front_end``: h = q for the sampling receiver, whose front end
-    passes the bandlimited waveform unchanged, and the closed-form rho of
-    the root-Nyquist pulses for the matched one.
+    ``symbols`` is the whole train, ``pulses.effective_guard`` symbols on
+    each side of the block; trace i starts at block symbol i, one for each
+    but the last.  The output is a*(mu*dc + sum a_k h(t - k ts)) with the
+    receiver's ``link.front_end``: h = q for the sampling receiver, so its
+    traces are ``synthesize``'s samples bit for bit, and the closed-form
+    rho of the root-Nyquist pulses for the matched one.
     """
-    link.require_count("n_traces", n_traces, 1)
     link.require_count("rate", rate, 1)
     link.require_nonnegative("amplitude a", a)
-    link.require_count("seed", seed, 0)
     fe = link.front_end(pulse, receiver)
+    symbols, guard = _check_train(pulse, constellation, symbols)
 
     mu = _bias.required_bias(pulse, constellation).mu
-    guard = pulses.effective_guard(pulse)
-    n_sym = n_traces + 1
-    rng = np.random.default_rng(seed)
-    levels = np.asarray(constellation.levels)
-    block = rng.choice(levels, size=n_sym)
-    full = np.concatenate([rng.choice(levels, size=guard), block,
-                           rng.choice(levels, size=guard)])
-    train = _superpose(fe.response, pulse, full, rate)
-    r = a * (mu * fe.dc + train)
-
-    win = 2 * rate
-    traces = np.empty((n_traces, win))
-    for i in range(n_traces):
-        lo = (guard + i) * rate
-        traces[i] = r[lo:lo + win]
-    t = np.arange(win) * (pulse.ts / rate)
+    train = _superpose(fe.response, pulse, symbols, rate)
+    # the block's symbol periods as rows; trace i is rows i and i + 1
+    periods = (a * (mu * fe.dc + train)).reshape(-1, rate)[guard:-guard]
+    traces = np.hstack((periods[:-1], periods[1:]))
+    t = np.arange(2 * rate) * (pulse.ts / rate)
     return EyeTraces(traces=traces, t=t)

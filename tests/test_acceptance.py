@@ -449,16 +449,12 @@ def test_criterion_11b_oversampling_error_reduction():
     # (c) xia is asymmetric, so its rho = Eq rc relies on the correlation's
     # symmetry, not the pulse's; ts != 1 checks the time scaling
     p = pulses.PulseSpec("xia", 0.5, 2.0)
-    rate, n_traces, seed, a = 16, 8, 3, 0.8
-    eye = waveform.eye_diagram(p, PAM4, receiver="matched",
-                               n_traces=n_traces, rate=rate, seed=seed, a=a)
-    # the eye's symbols: the block first, then the left and right guards
+    rate, n_traces, a = 16, 8, 0.8
     guard = pulses.effective_guard(p)
-    rng = np.random.default_rng(seed)
-    levels = np.asarray(PAM4.levels)
-    block = rng.choice(levels, size=n_traces + 1)
-    full = np.concatenate([rng.choice(levels, size=guard), block,
-                           rng.choice(levels, size=guard)])
+    full = np.random.default_rng(3).choice(np.asarray(PAM4.levels),
+                                           size=n_traces + 1 + 2 * guard)
+    eye = waveform.eye_diagram(p, PAM4, full, receiver="matched", rate=rate,
+                               a=a)
     grid = ((guard + np.arange(n_traces))[:, None] * rate
             + np.arange(2 * rate)[None, :])
     lags = grid[:, :, None] - rate * np.arange(full.size)[None, None, :]

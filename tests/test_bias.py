@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from imdd import _series, bias, cli, pulses
+from imdd import _series, bias, cli, pulses, waveform
 from imdd.errors import DomainError, NumericalDivergenceError
 
 from oracles import (partial_fold, partial_sum_bias, pl_exact_bias,
@@ -568,6 +568,21 @@ def test_float_grid_alpha_solve_as_their_rounded_alpha(family):
         assert (bias.required_bias(pulses.PulseSpec(family, alpha), OOK)
                 == bias.required_bias(
                     pulses.PulseSpec(family, round(alpha, 12)), OOK))
+
+
+@pytest.mark.parametrize("family", ["pl", "xia", "rc"])
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64,
+                                   np.longdouble], ids=lambda t: t.__name__)
+def test_numpy_scalar_alpha_solves_as_its_float(family, dtype):
+    # the exact folds take Fraction(alpha), which refuses a numpy float32
+    alpha = dtype(0.3)
+    sol = bias.required_bias(pulses.PulseSpec(family, alpha), OOK)
+    peak = waveform.optical_powers(pulses.PulseSpec(family, alpha), OOK,
+                                   mu=sol.mu).p_max
+    bias.clear_caches()
+    pulse = pulses.PulseSpec(family, float(alpha))
+    assert sol == bias.required_bias(pulse, OOK)
+    assert peak == waveform.optical_powers(pulse, OOK, mu=sol.mu).p_max
 
 
 @pytest.mark.parametrize("alpha", [0.01, 0.1, 0.3, 0.5, 0.9, 0.99, 1.0])

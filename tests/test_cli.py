@@ -271,8 +271,8 @@ class TestWaveformCommand:
         assert rc == 2
 
     def test_block_does_not_repeat_the_guards(self, tmp_path, monkeypatch):
-        # the guards come from default_rng(seed), left then right, and the
-        # block from a child of the seed, so it repeats neither guard
+        # one default_rng(seed) draws the block first, then the left and
+        # right guards, so the block repeats neither guard
         trains, real = [], waveform.synthesize
 
         def spy(pulse, constellation, symbols, **kw):
@@ -289,10 +289,9 @@ class TestWaveformCommand:
             guard = pulses.effective_guard(pulse)
             levels = np.asarray(constellation.levels)
             rng = np.random.default_rng(seed)
+            block = rng.choice(levels, size=16)
             left = rng.choice(levels, size=guard)
             right = rng.choice(levels, size=guard)
-            child = np.random.SeedSequence(seed).spawn(1)[0]
-            block = np.random.default_rng(child).choice(levels, size=16)
             np.testing.assert_array_equal(
                 train, np.concatenate([left, block, right]))
             assert not np.array_equal(block[:guard], left), seed
@@ -318,6 +317,26 @@ class TestEyeCommand:
         assert rc == 0
         lines = read_lines(out)
         assert any(ln.startswith("# receiver=matched") for ln in lines)
+
+    @pytest.mark.parametrize("family", ["rc", "xia"])
+    def test_sampling_eye_is_the_waveform_of_its_train(self, tmp_path,
+                                                       family):
+        # eye --traces T draws the train of waveform --n T + 1, and its
+        # trace i is the waveform's samples of block symbols i and i + 1
+        rate, traces = 16, 5
+        same = ["--pulse", family, "--alpha", "0.6", "--m", "4", "--ts",
+                "1.3", "--a", "0.7", "--rate", str(rate), "--seed", "3"]
+        assert cli.main(["eye", *same, "--traces", str(traces),
+                         "-o", str(tmp_path / "e.csv")]) == 0
+        assert cli.main(["waveform", *same, "--n", str(traces + 1),
+                         "-o", str(tmp_path / "w.csv")]) == 0
+        _, eye_rows = data_rows(tmp_path / "e.csv")
+        _, wave_rows = data_rows(tmp_path / "w.csv")
+        assert len(eye_rows) == traces * 2 * rate
+        for n, (trace, _, value) in enumerate(eye_rows):
+            i, j = divmod(n, 2 * rate)
+            assert trace == str(i)
+            assert value == wave_rows[i * rate + j][1], (i, j)
 
     @pytest.mark.parametrize("rate", ["0", "-1"])
     def test_rate_below_one_exits_2(self, tmp_path, capsys, rate):
@@ -406,6 +425,8 @@ class TestArgumentErrors:
         ("ser", "--seed", "-1", "--seed must be >= 0"),
         ("waveform", "--seed", "-1", "--seed must be >= 0"),
         ("eye", "--seed", "-1", "--seed must be >= 0"),
+        # eye_diagram takes a train, so the trace count is checked here
+        ("eye", "--traces", "0", "--traces must be >= 1"),
     ])
     def test_bad_run_wide_setting(self, tmp_path, capsys, command, option,
                                   value, message):

@@ -191,6 +191,13 @@ class TestSweep:
         with pytest.raises(DomainError, match="receiver must be one of"):
             next(grid)
 
+    def test_numpy_float32_alphas_yield_every_point(self):
+        # pl's exact fold used to abort the grid with a bare TypeError
+        alphas = np.linspace(0.25, 0.5, 2, dtype=np.float32)
+        points, failures = _sweep("equal-eye", ["rc", "pl"], alphas, [2])
+        assert failures == []
+        assert len(points) == 4
+
     def test_unsupported_family_is_recorded_not_raised(self):
         points, failures = _sweep("equal-eye", ["rrc"], [0.5], [2])
         assert [key[2] for key, _ in failures] == ["rrc"]

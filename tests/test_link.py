@@ -119,8 +119,9 @@ class TestFrontEnd:
     @pytest.mark.parametrize("family, receiver", ALL_PAIRS)
     def test_every_site_follows_the_flags(self, family, receiver):
         p = pulses.PulseSpec(family, 0.5)
+        train = [0.0, 1.0] * (pulses.effective_guard(p) + 1)
         sites = [
-            lambda: waveform.eye_diagram(p, OOK, receiver, n_traces=1),
+            lambda: waveform.eye_diagram(p, OOK, train, receiver),
             lambda: gains.amp_ratio_equal_ser(receiver, p, OOK, 1e-3),
         ]
         ok = isi_free(family, receiver)
@@ -582,3 +583,25 @@ def test_import_loads_no_scipy():
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout == "[]\n"
+
+
+def test_only_monte_carlo_draws_random_numbers(monkeypatch):
+    # every other layer takes its symbols from the caller or draws none
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew random numbers")
+
+    bias.clear_caches()               # the bias searches run cold, too
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    xia = pulses.PulseSpec("xia", 0.5)
+    train = [0.0, 1.0] * (pulses.effective_guard(xia) + 2)
+    mu = bias.required_bias(xia, OOK).mu
+    waveform.synthesize(xia, OOK, train, mu=mu)
+    for receiver in link.RECEIVERS:
+        waveform.eye_diagram(xia, OOK, train, receiver)
+    waveform.optical_powers(xia, OOK, mu=mu)
+    gains.gain_point("equal-eye", "sampling", xia, OOK)
+    gains.gain_point("equal-ser", "matched", xia, OOK, 1e-6)
+    link.amplitude_for_ser(cfg_rc(), 1e-6)
+    with pytest.raises(AssertionError, match="drew random numbers"):
+        link.monte_carlo_ser(cfg_rc(), link.MC_MIN_SYMBOLS)

@@ -43,6 +43,18 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             pulses.PulseSpec("rc", 0.5, ts)
 
+    def test_alpha_and_ts_are_stored_as_floats(self):
+        spec = pulses.PulseSpec("rc", np.float32(0.5), np.int64(2))
+        assert (type(spec.alpha), type(spec.ts)) == (float, float)
+        assert spec == pulses.PulseSpec("rc", 0.5, 2.0)
+
+    @pytest.mark.parametrize("setting", [
+        {"alpha": "half"}, {"alpha": None}, {"ts": [1.0]}],
+        ids=["alpha-str", "alpha-none", "ts-list"])
+    def test_non_numbers_raise_domain_error(self, setting):
+        with pytest.raises(DomainError, match="must be a real number"):
+            pulses.PulseSpec(**{"family": "rc", "alpha": 0.5, **setting})
+
 
 class TestCenterValue:
     @pytest.mark.parametrize("family", NYQUIST_FAMILIES)

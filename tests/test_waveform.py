@@ -251,9 +251,16 @@ class TestOpticalPowers:
         assert w3.p_max == pytest.approx(3 * w1.p_max, rel=1e-12)
 
 
+def eye_train(pulse, constellation, n_traces, seed=0):
+    """A train for ``n_traces`` eye traces: a block of n_traces + 1 symbols
+    between ``pulses.effective_guard`` symbols on each side."""
+    return random_train(constellation, n_traces + 1,
+                        pulses.effective_guard(pulse), seed)
+
+
 class TestEyeDiagram:
     def test_shapes_and_window(self):
-        eye = waveform.eye_diagram(RC6, OOK, n_traces=48, rate=32)
+        eye = waveform.eye_diagram(RC6, OOK, eye_train(RC6, OOK, 48), rate=32)
         assert eye.traces.shape == (48, 64)
         assert eye.t.shape == (64,)
         assert eye.t[0] == 0.0
@@ -264,7 +271,8 @@ class TestEyeDiagram:
         c = bias.Constellation.pam(m)
         mu = bias.required_bias(RC6, c).mu
         a = 1.3
-        eye = waveform.eye_diagram(RC6, c, n_traces=32, rate=32, a=a)
+        eye = waveform.eye_diagram(RC6, c, eye_train(RC6, c, 32), rate=32,
+                                   a=a)
         levels = a * (mu + np.asarray(c.levels))      # q(0) = 1 for rc
         col0 = eye.traces[:, 0]
         dist = np.min(np.abs(col0[:, None] - levels[None, :]), axis=1)
@@ -276,69 +284,86 @@ class TestEyeDiagram:
         mu = bias.required_bias(p, c).mu
         meta = pulses.metadata(p)
         eq = meta.energy_ratio * p.ts
-        eye = waveform.eye_diagram(p, c, receiver="matched", n_traces=16,
-                                   rate=32, a=0.8)
+        eye = waveform.eye_diagram(p, c, eye_train(p, c, 16),
+                                   receiver="matched", rate=32, a=0.8)
         levels = 0.8 * (mu * meta.q_bar * p.ts + np.asarray(c.levels) * eq)
         col0 = eye.traces[:, 0]
         dist = np.min(np.abs(col0[:, None] - levels[None, :]), axis=1)
         assert np.max(dist) < 1e-6
 
+    @pytest.mark.parametrize("family", [
+        f for f in pulses.FAMILIES
+        if pulses.metadata(pulses.PulseSpec(f, 0.5)).is_nyquist])
+    def test_sampling_eye_is_the_waveform(self, family):
+        # the sampling front end passes x(t) unchanged, so trace i is the
+        # transmit samples of block symbols i and i + 1, bit for bit
+        p = pulses.PulseSpec(family, 0.6, 1.3)
+        c = bias.Constellation.pam(4)
+        guard, rate, n_traces = pulses.effective_guard(p), 16, 12
+        train = eye_train(p, c, n_traces, seed=5)
+        mu = bias.required_bias(p, c).mu
+        wf = waveform.synthesize(p, c, train, mu=mu, a=0.7, rate=rate)
+        eye = waveform.eye_diagram(p, c, train, a=0.7, rate=rate)
+        assert eye.traces.shape == (n_traces, 2 * rate)
+        for i, trace in enumerate(eye.traces):
+            lo = (guard + i) * rate
+            assert trace.tolist() == wf.samples[lo:lo + 2 * rate].tolist(), i
+
     def test_receiver_pulse_compatibility(self):
+        rrc, xia = pulses.PulseSpec("rrc", 0.5), pulses.PulseSpec("xia", 0.5)
         with pytest.raises(DomainError):
-            waveform.eye_diagram(pulses.PulseSpec("rrc", 0.5), OOK,
+            waveform.eye_diagram(rrc, OOK, eye_train(rrc, OOK, 4),
                                  receiver="sampling")
         with pytest.raises(DomainError):
-            waveform.eye_diagram(RC6, OOK, receiver="matched")
+            waveform.eye_diagram(RC6, OOK, eye_train(RC6, OOK, 4),
+                                 receiver="matched")
         with pytest.raises(DomainError):
-            waveform.eye_diagram(RC6, OOK, receiver="integrate")
+            waveform.eye_diagram(RC6, OOK, eye_train(RC6, OOK, 4),
+                                 receiver="integrate")
         # dual-property pulse accepts both receivers
-        waveform.eye_diagram(pulses.PulseSpec("xia", 0.5), OOK,
-                             receiver="sampling", n_traces=4)
-        waveform.eye_diagram(pulses.PulseSpec("xia", 0.5), OOK,
-                             receiver="matched", n_traces=4)
+        waveform.eye_diagram(xia, OOK, eye_train(xia, OOK, 4),
+                             receiver="sampling")
+        waveform.eye_diagram(xia, OOK, eye_train(xia, OOK, 4),
+                             receiver="matched")
 
     @pytest.mark.parametrize("a", [-1.0, np.nan])
     def test_amplitude_finite_and_nonnegative(self, a):
         with pytest.raises(DomainError, match="finite and nonnegative"):
-            waveform.eye_diagram(RC6, OOK, n_traces=4, a=a)
+            waveform.eye_diagram(RC6, OOK, eye_train(RC6, OOK, 4), a=a)
 
     def test_trace_count_validation(self):
-        with pytest.raises(DomainError):
-            waveform.eye_diagram(RC6, OOK, n_traces=0)
+        # the train sets the trace count: one that holds no block between
+        # its guards has no trace to give
+        train = eye_train(RC6, OOK, 4)[:2 * GUARD_RC6]
+        with pytest.raises(DomainError, match="must hold a block"):
+            waveform.eye_diagram(RC6, OOK, train)
 
-    def test_seed_nonnegative(self):
-        with pytest.raises(DomainError, match="seed must be >= 0"):
-            waveform.eye_diagram(RC6, OOK, n_traces=4, seed=-1)
-
-    @pytest.mark.parametrize("setting", [
-        {"seed": 1.5}, {"n_traces": 2.5}, {"n_traces": 4.0},
-        {"rate": 2.5}, {"rate": 16.0}],
-        ids=["seed-1.5", "n_traces-2.5", "n_traces-4.0", "rate-2.5",
-             "rate-16.0"])
+    @pytest.mark.parametrize("setting", [{"rate": 2.5}, {"rate": 16.0}],
+                             ids=["rate-2.5", "rate-16.0"])
     def test_counts_are_integers(self, setting):
         # numpy would raise a bare TypeError
         (name, value), = setting.items()
-        kwargs = {"n_traces": 4, **setting}
         with pytest.raises(DomainError, match=f"{name} must be an integer"):
-            waveform.eye_diagram(RC6, OOK, **kwargs)
+            waveform.eye_diagram(RC6, OOK, eye_train(RC6, OOK, 4), **setting)
 
     def test_numpy_integer_counts_accepted(self):
-        a = waveform.eye_diagram(RC6, OOK, n_traces=np.int32(4),
-                                 rate=np.int64(16), seed=np.uint16(3))
-        b = waveform.eye_diagram(RC6, OOK, n_traces=4, rate=16, seed=3)
+        train = eye_train(RC6, OOK, 4)
+        a = waveform.eye_diagram(RC6, OOK, train, rate=np.int64(16))
+        b = waveform.eye_diagram(RC6, OOK, train, rate=16)
         np.testing.assert_array_equal(a.traces, b.traces)
 
     @pytest.mark.parametrize("rate", [0, -2])
     def test_rate_at_least_one(self, rate):
         # rate 0 would be a zero slice step, a bare ValueError
         with pytest.raises(DomainError, match="rate must be >= 1"):
-            waveform.eye_diagram(RC6, OOK, n_traces=4, rate=rate)
+            waveform.eye_diagram(RC6, OOK, eye_train(RC6, OOK, 4), rate=rate)
 
     def test_rate_one_is_one_sample_a_symbol(self):
-        eye = waveform.eye_diagram(RC6, OOK, n_traces=4, rate=1)
+        eye = waveform.eye_diagram(RC6, OOK, eye_train(RC6, OOK, 4), rate=1)
         assert eye.traces.shape == (4, 2)
 
     def test_deterministic(self):
-        a = waveform.eye_diagram(RC6, OOK, n_traces=8, seed=21)
-        b = waveform.eye_diagram(RC6, OOK, n_traces=8, seed=21)
+        train = eye_train(RC6, OOK, 8, seed=21)
+        a = waveform.eye_diagram(RC6, OOK, train)
+        b = waveform.eye_diagram(RC6, OOK, train)
         np.testing.assert_array_equal(a.traces, b.traces)
