@@ -23,9 +23,11 @@ from dataclasses import astuple
 import numpy as np
 
 from . import __version__, bias, gains, link, pulses, waveform
-from .errors import DomainError, ImddError, NumericalDivergenceError
+from .errors import (DomainError, ImddError, NumericalDivergenceError,
+                     require_count, require_real)
 
 FIGURES = ("fig2", "fig3", "fig4", "fig5", "fig6")
+FORMATS = ("csv", "json")
 
 _SER_HEADER = ("pulse", "alpha", "M", "receiver", "A", "N0",
                "p_analytic", "p_hat", "ci95", "n")
@@ -71,12 +73,7 @@ def _parse_alpha_grid(text: str) -> tuple[float, ...]:
     parts = text.split(":")
     if len(parts) not in (1, 3):
         raise DomainError("alpha grid must be value or start:stop:step")
-    try:
-        values = [float(p) for p in parts]
-    except ValueError as exc:
-        raise DomainError(f"bad alpha grid {text!r}") from exc
-    if not all(map(math.isfinite, values)):
-        raise DomainError(f"alpha grid {text!r} must be finite")
+    values = [require_real("--alpha value", p) for p in parts]
     if len(values) == 1:
         return (values[0],)
     start, stop, step = values
@@ -93,8 +90,8 @@ def _parse_m_list(text: str) -> tuple[int, ...]:
         out = tuple(int(v) for v in text.split(","))
     except ValueError as exc:
         raise DomainError(f"bad modulation order list {text!r}") from exc
-    if not out or any(m < 2 for m in out):
-        raise DomainError("modulation orders must be integers >= 2")
+    for m in out:
+        require_count("--m", m, 2)
     return tuple(dict.fromkeys(out))
 
 
@@ -299,6 +296,8 @@ def reproduce_argv(figure: str, out_dir: str = ".",
     """The command lines behind each shipped dataset."""
     if figure not in FIGURES:
         raise DomainError(f"figure must be one of {FIGURES}")
+    if fmt not in FORMATS:
+        raise DomainError(f"format must be one of {FORMATS}")
 
     def out(name: str) -> list[str]:
         return ["--format", fmt,
@@ -342,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     files.add_argument("--out-dir",
                        default=os.environ.get("IMDD_OUT_DIR", "."),
                        help="default output directory (env IMDD_OUT_DIR)")
-    files.add_argument("--format", choices=("csv", "json"), default="csv")
+    files.add_argument("--format", choices=FORMATS, default="csv")
 
     common = argparse.ArgumentParser(add_help=False, parents=[files])
     common.add_argument("-o", "--output",
@@ -397,8 +396,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perr", type=float, default=1e-6, dest="p_err")
 
     p = sub.add_parser("reproduce", parents=[files],
-                       help="emit a shipped dataset")
-    p.add_argument("figure", choices=FIGURES)
+                       help="emit shipped datasets, in order, in one process")
+    p.add_argument("figure", nargs="+", choices=FIGURES)
     return parser
 
 
@@ -421,18 +420,16 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
                               "the OOK reference")
     for name in ("a", "n0"):
         if name in args:
-            link.require_nonnegative(f"--{name}", getattr(args, name))
-    if "seed" in args and args.seed < 0:
-        raise DomainError("--seed must be >= 0")
-    if args.command == "ser":
-        if args.n_symbols < link.MC_MIN_SYMBOLS:
-            raise DomainError(f"--n must be >= {link.MC_MIN_SYMBOLS}")
-        if args.target is not None and args.target < 1:
-            raise DomainError("--target must be >= 1")
-    if args.command == "waveform" and args.n_symbols < 1:
-        raise DomainError("--n must be >= 1")
-    if args.command == "eye" and args.n_traces < 1:
-        raise DomainError("--traces must be >= 1")
+            require_real(f"--{name}", getattr(args, name), nonnegative=True)
+    if "seed" in args:
+        require_count("--seed", args.seed, 0)
+    if "n_symbols" in args:
+        require_count("--n", args.n_symbols,
+                      link.MC_MIN_SYMBOLS if args.command == "ser" else 1)
+    if getattr(args, "target", None) is not None:
+        require_count("--target", args.target, 1)
+    if "n_traces" in args:
+        require_count("--traces", args.n_traces, 1)
     if args.command in ("waveform", "eye") and (
             len(args.pulse_set) > 1 or len(args.alphas) > 1
             or len(args.m_values) > 1):
@@ -445,7 +442,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "reproduce":
-            return reproduce(args.figure, args.out_dir, args.format)
+            return max([reproduce(figure, args.out_dir, args.format)
+                        for figure in args.figure])
         return run(_config_from_args(args))
     except NumericalDivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

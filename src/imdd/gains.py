@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 from . import bias as _bias
 from . import link, pulses
-from .errors import DomainError, ImddError, UnsupportedError
+from .errors import DomainError, ImddError, UnsupportedError, require_real
 
 SCENARIOS = ("equal-eye", "equal-ser")
 
@@ -42,21 +42,6 @@ class GainPoint:
     q_zero: float
 
 
-def _avg_power(pulse: pulses.PulseSpec,
-               constellation: _bias.Constellation) -> float:
-    """mu + E{a} q_bar: the average power per unit amplitude."""
-    return (_bias.required_bias(pulse, constellation).mu
-            + constellation.mean * pulses.metadata(pulse).q_bar)
-
-
-def gain_equal_eye(pulse: pulses.PulseSpec,
-                   constellation: _bias.Constellation) -> float:
-    """Gain in dB at equal eye opening (sampling receiver)."""
-    q_zero = link.front_end(pulse, "sampling").h0
-    power = _avg_power(pulse, constellation)
-    return 10.0 * math.log10(constellation.delta_a * q_zero / (2.0 * power))
-
-
 def amp_ratio_equal_ser(receiver: str, pulse: pulses.PulseSpec,
                         constellation: _bias.Constellation,
                         p_err: float) -> float:
@@ -70,42 +55,41 @@ def amp_ratio_equal_ser(receiver: str, pulse: pulses.PulseSpec,
             / link.amplitude_for_ser(tgt, p_err))
 
 
-def gain_equal_ser(receiver: str, pulse: pulses.PulseSpec,
-                   constellation: _bias.Constellation,
-                   p_err: float) -> float:
-    """Gain in dB at equal symbol error rate and equal bit rate."""
-    ratio = amp_ratio_equal_ser(receiver, pulse, constellation, p_err)
-    return 10.0 * math.log10(ratio * 0.5 / _avg_power(pulse, constellation))
-
-
-def _check_scenario(scenario: str, p_err: float | None) -> None:
+def _check_scenario(scenario: str, p_err: float | None) -> float | None:
+    """``p_err`` as a float (None stays None) once the scenario is known
+    and has what it needs."""
     if scenario not in SCENARIOS:
         raise DomainError(f"scenario must be one of {SCENARIOS}, "
                           f"not {scenario!r}")
     if scenario == "equal-ser" and p_err is None:
         raise DomainError("the equal-ser scenario needs p_err")
+    return None if p_err is None else require_real("p_err", p_err)
 
 
 def gain_point(scenario: str, receiver: str, pulse: pulses.PulseSpec,
                constellation: _bias.Constellation,
                p_err: float | None = None) -> GainPoint:
-    """One fully populated curve point for either scenario."""
-    _check_scenario(scenario, p_err)
-    meta = pulses.metadata(pulse)
+    """One fully populated curve point for either scenario: the gain
+    10 log10(ratio * 0.5 / (mu + E{a} q_bar)) with the ratio Delta_a q(0)
+    at equal eye and A_ref/A at equal SER (module notes)."""
+    p_err = _check_scenario(scenario, p_err)
     if scenario == "equal-eye":
         if receiver != "sampling":
             raise UnsupportedError(
                 "the equal-eye scenario is defined for the sampling "
                 f"receiver only, not {receiver!r}")
-        gain = gain_equal_eye(pulse, constellation)
+        ratio = constellation.delta_a * link.front_end(pulse, receiver).h0
     else:
-        gain = gain_equal_ser(receiver, pulse, constellation, p_err)
+        ratio = amp_ratio_equal_ser(receiver, pulse, constellation, p_err)
+    meta = pulses.metadata(pulse)
     mu = _bias.required_bias(pulse, constellation).mu
+    power = mu + constellation.mean * meta.q_bar
     m = constellation.order
     return GainPoint(
         scenario=scenario, receiver=receiver, pulse=pulse.family,
         alpha=pulse.alpha, m=m, b_tb=meta.b_ts / math.log2(m),
-        gain_db=gain, mu=mu, q_bar=meta.q_bar, q_zero=meta.q_zero)
+        gain_db=10.0 * math.log10(ratio * 0.5 / power), mu=mu,
+        q_bar=meta.q_bar, q_zero=meta.q_zero)
 
 
 def valid_receivers(family: str, scenario: str) -> tuple[str, ...]:
@@ -137,7 +121,7 @@ def gain_grid(scenario: str, pulse_set, alphas, m_set,
     failure keyed ``(scenario, "", pulse, None, None)``.  An unknown
     scenario, family or receiver, or equal-ser without ``p_err``, fails the
     whole grid: it raises ``DomainError`` before the first point."""
-    _check_scenario(scenario, p_err)
+    p_err = _check_scenario(scenario, p_err)
     for receiver in receivers or ():
         if receiver not in link.RECEIVERS:
             raise DomainError(f"receiver must be one of {link.RECEIVERS}, "

@@ -23,7 +23,6 @@ ISI and is refused.
 from __future__ import annotations
 
 import math
-import numbers
 import statistics
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -32,29 +31,14 @@ import numpy as np
 
 from . import bias as _bias
 from . import pulses
-from .errors import DomainError, UnsupportedError
+from .errors import (DomainError, UnsupportedError, require_count,
+                     require_real)
 
 RECEIVERS = ("sampling", "matched")
 
 MC_CHUNK = 16384
 MC_MIN_SYMBOLS = 10_000
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
-
-
-def require_count(name: str, value, minimum: int) -> None:
-    """Raise ``DomainError`` unless ``value`` is an integer (numpy's too)
-    and >= ``minimum``."""
-    if not isinstance(value, numbers.Integral):
-        raise DomainError(f"{name} must be an integer, not {value!r}")
-    if value < minimum:
-        raise DomainError(f"{name} must be >= {minimum}")
-
-
-def require_nonnegative(name: str, value: float) -> None:
-    """Raise ``DomainError`` unless ``value`` is finite and >= 0."""
-    if not 0.0 <= value < math.inf:
-        raise DomainError(f"{name} must be finite and nonnegative, "
-                          f"not {value}")
 
 
 class FrontEnd(NamedTuple):
@@ -100,8 +84,10 @@ class LinkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_nonnegative("amplitude a", self.a)
-        require_nonnegative("n0", self.n0)
+        object.__setattr__(self, "a", require_real("amplitude a", self.a,
+                                                   nonnegative=True))
+        object.__setattr__(self, "n0", require_real("n0", self.n0,
+                                                    nonnegative=True))
         require_count("seed", self.seed, 0)
         front_end(self.pulse, self.receiver)
 
@@ -176,6 +162,7 @@ def _q_func(x: float) -> float:
 def q_inverse(p: float) -> float:
     """Inverse Gaussian tail function, -Phi^-1(p): the lower tail keeps
     its precision at small p, where 1 - p would round."""
+    p = require_real("p", p)
     if not 0.0 < p < 1.0:
         raise DomainError("q_inverse needs 0 < p < 1")
     return -statistics.NormalDist().inv_cdf(p)
@@ -210,6 +197,7 @@ def amplitude_for_ser(cfg: LinkConfig, p_err: float) -> float:
     """Amplitude A at which analytic_ser would equal p_err."""
     c = _uniform_pam(cfg)
     m = c.order
+    p_err = require_real("p_err", p_err)
     if not 0.0 < p_err < (m - 1) / m:
         raise DomainError("p_err out of range for this PAM order")
     arg = q_inverse(p_err * m / (2.0 * (m - 1)))
@@ -240,8 +228,8 @@ def monte_carlo_ser(cfg: LinkConfig, n_symbols: int,
     Those samples come from one ``receiver_samples`` call per estimate.
     """
     require_count("n_symbols", n_symbols, MC_MIN_SYMBOLS)
-    if target is not None and not target >= 1:
-        raise DomainError(f"target must be >= 1, not {target}")
+    if target is not None:
+        require_count("target", target, 1)
     levels = np.asarray(cfg.constellation.levels)
     table = receiver_samples(cfg, levels)
     edges = np.concatenate(([-np.inf], 0.5 * (table[:-1] + table[1:]),

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedError
+from .errors import DomainError, UnsupportedError, require_real
 
 ALPHA_MIN = 0.01
 
@@ -53,16 +53,12 @@ class PulseSpec:
                               f"expected one of {FAMILIES}")
         # plain floats, as Constellation stores its levels: the exact folds
         # take Fraction(alpha), which refuses a numpy float32
-        for name in ("alpha", "ts"):
-            try:
-                object.__setattr__(self, name, float(getattr(self, name)))
-            except (TypeError, ValueError) as exc:
-                raise DomainError(f"{name} must be a real number, not "
-                                  f"{getattr(self, name)!r}") from exc
+        object.__setattr__(self, "alpha", require_real("alpha", self.alpha))
+        object.__setattr__(self, "ts", require_real("ts", self.ts))
         if not (ALPHA_MIN <= self.alpha <= 1.0):
             raise DomainError(f"alpha={self.alpha} outside [{ALPHA_MIN}, 1]")
-        if not 0.0 < self.ts < math.inf:
-            raise DomainError(f"ts={self.ts} must be positive and finite")
+        if self.ts <= 0.0:
+            raise DomainError(f"ts={self.ts} must be positive")
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,13 @@ shifted-sum up to float rounding.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import bias as _bias
 from . import link, pulses
-from .errors import DomainError
+from .errors import DomainError, require_count, require_real
 from .link import fftconvolve
 
 MIN_RATE = 16
@@ -55,13 +54,6 @@ class OpticalPowers:
     p_max: float
 
 
-def _require_finite_bias(mu: float) -> None:
-    """A bias may be negative (an offset below the required one), not
-    infinite or NaN."""
-    if not math.isfinite(mu):
-        raise DomainError(f"bias mu must be finite, not {mu}")
-
-
 def _superpose(response, pulse: pulses.PulseSpec, full_symbols: np.ndarray,
                rate: int) -> np.ndarray:
     """sum_k a_k h(t - k ts) on the uniform grid covering the symbols, where
@@ -76,10 +68,15 @@ def _superpose(response, pulse: pulses.PulseSpec, full_symbols: np.ndarray,
 
 
 def _check_train(pulse: pulses.PulseSpec, constellation: _bias.Constellation,
-                 symbols, guard: int | None = None) -> tuple[np.ndarray, int]:
-    """The train as floats, and its guard: constellation levels, a block
-    between ``guard`` symbols on each side (``effective_guard`` at least)."""
-    symbols = np.asarray(symbols, dtype=float)
+                 symbols, guard: int | None = None,
+                 block: int = 1) -> tuple[np.ndarray, int]:
+    """The train as floats, and its guard: constellation levels, a block of
+    ``block`` symbols or more between ``guard`` symbols on each side
+    (``effective_guard`` at least)."""
+    try:
+        symbols = np.asarray(symbols, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError("symbols must be real numbers") from exc
     if symbols.ndim != 1:
         raise DomainError("symbols must be a 1-D sequence")
     levels = np.asarray(constellation.levels)
@@ -89,11 +86,12 @@ def _check_train(pulse: pulses.PulseSpec, constellation: _bias.Constellation,
     g_min = pulses.effective_guard(pulse)
     if guard is None:
         guard = g_min
-    link.require_count("guard", guard, g_min)
+    require_count("guard", guard, g_min)
     guard = int(guard)          # -guard of an unsigned numpy count wraps
-    if symbols.size <= 2 * guard:
+    if symbols.size < 2 * guard + block:
         raise DomainError(f"symbols must hold a block between {guard} guard "
-                          f"symbols on each side, not {symbols.size} in all")
+                          f"symbols on each side, {2 * guard + block} in all "
+                          f"at least, not {symbols.size}")
     return symbols, guard
 
 
@@ -107,9 +105,9 @@ def synthesize(pulse: pulses.PulseSpec, constellation: _bias.Constellation,
     The grid starts at t0 = -guard*ts, so t = 0 is the block's first
     symbol.  No random numbers are drawn here.
     """
-    link.require_count("rate", rate, MIN_RATE)
-    link.require_nonnegative("amplitude a", a)
-    _require_finite_bias(mu)
+    require_count("rate", rate, MIN_RATE)
+    a = require_real("amplitude a", a, nonnegative=True)
+    mu = require_real("bias mu", mu)
     symbols, guard = _check_train(pulse, constellation, symbols, guard)
     train = _superpose(pulses.evaluate, pulse, symbols, rate)
     return WaveformGrid(samples=a * (mu + train), rate=rate,
@@ -125,8 +123,8 @@ def optical_powers(pulse: pulses.PulseSpec,
     minus the smallest for the mirrored levels -a_k, which is the bias
     those levels need.  It comes from the same cached search as ``mu``.
     """
-    link.require_nonnegative("amplitude a", a)
-    _require_finite_bias(mu)
+    a = require_real("amplitude a", a, nonnegative=True)
+    mu = require_real("bias mu", mu)
     p_opt = a * (mu + constellation.mean * pulses.metadata(pulse).q_bar)
     mirrored = _bias.Constellation(
         tuple(-v for v in reversed(constellation.levels)))
@@ -140,16 +138,17 @@ def eye_diagram(pulse: pulses.PulseSpec, constellation: _bias.Constellation,
     """Noise-free receiver output over a given train in 2*ts windows.
 
     ``symbols`` is the whole train, ``pulses.effective_guard`` symbols on
-    each side of the block; trace i starts at block symbol i, one for each
-    but the last.  The output is a*(mu*dc + sum a_k h(t - k ts)) with the
-    receiver's ``link.front_end``: h = q for the sampling receiver, so its
+    each side of a block of two symbols or more; trace i starts at block
+    symbol i, one for each but the last.  The output is
+    a*(mu*dc + sum a_k h(t - k ts)) with the receiver's
+    ``link.front_end``: h = q for the sampling receiver, so its
     traces are ``synthesize``'s samples bit for bit, and the closed-form
     rho of the root-Nyquist pulses for the matched one.
     """
-    link.require_count("rate", rate, 1)
-    link.require_nonnegative("amplitude a", a)
+    require_count("rate", rate, 1)
+    a = require_real("amplitude a", a, nonnegative=True)
     fe = link.front_end(pulse, receiver)
-    symbols, guard = _check_train(pulse, constellation, symbols)
+    symbols, guard = _check_train(pulse, constellation, symbols, block=2)
 
     mu = _bias.required_bias(pulse, constellation).mu
     train = _superpose(fe.response, pulse, symbols, rate)

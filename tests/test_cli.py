@@ -427,6 +427,11 @@ class TestArgumentErrors:
         ("eye", "--seed", "-1", "--seed must be >= 0"),
         # eye_diagram takes a train, so the trace count is checked here
         ("eye", "--traces", "0", "--traces must be >= 1"),
+        ("bias", "--m", "2,1", "--m must be >= 2"),
+        ("bias", "--alpha", "0.1:nan:0.1",
+         "--alpha value must be finite, not nan"),
+        ("bias", "--alpha", "0.1:x:0.1",
+         "--alpha value must be a real number, not 'x'"),
     ])
     def test_bad_run_wide_setting(self, tmp_path, capsys, command, option,
                                   value, message):
@@ -593,6 +598,24 @@ class TestReproduce:
         made = sorted(p.name for p in tmp_path.iterdir())
         assert made == ["fig3_btn.csv", "fig3_pl.csv", "fig3_rc.csv",
                         "fig3_xia.csv"]
+
+    def test_several_figures_in_one_process(self, tmp_path):
+        # each figure's bytes are those of a separate reproduce of it
+        both, alone = tmp_path / "both", tmp_path / "alone"
+        assert cli.main(["reproduce", "fig3", "fig2",
+                         "--out-dir", str(both)]) == 0
+        for fig in ("fig2", "fig3"):
+            assert cli.main(["reproduce", fig, "--out-dir", str(alone)]) == 0
+        names = sorted(p.name for p in alone.iterdir())
+        assert sorted(p.name for p in both.iterdir()) == names
+        for name in names:
+            assert (both / name).read_bytes() == (alone / name).read_bytes()
+        # one unknown figure refuses the whole list before any runs
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["reproduce", "fig2", "fig9",
+                      "--out-dir", str(tmp_path / "none")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "none").exists()
 
     def test_all_figures_have_configs(self):
         # every figure's command lines pass the parser and the CLI's checks;

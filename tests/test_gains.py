@@ -17,42 +17,52 @@ MU_RC6 = 0.184566790565
 MU_RRC715 = 0.244731856930
 
 
+def eye_db(pulse, constellation):
+    return gains.gain_point("equal-eye", "sampling", pulse,
+                            constellation).gain_db
+
+
+def ser_db(receiver, pulse, constellation, p_err):
+    return gains.gain_point("equal-ser", receiver, pulse, constellation,
+                            p_err).gain_db
+
+
 class TestReferenceZero:
     """The reference configuration itself must map to exactly 0 dB in both
     scenarios — that is what pins the absolute level of every curve."""
 
     def test_equal_eye(self):
-        assert gains.gain_equal_eye(pulses.PulseSpec("s2", 0.5), OOK) == 0.0
+        assert eye_db(pulses.PulseSpec("s2", 0.5), OOK) == 0.0
 
     def test_equal_ser(self):
-        assert gains.gain_equal_ser(
+        assert ser_db(
             "sampling", pulses.PulseSpec("s2", 0.5), OOK, 1e-6) == 0.0
 
 
 class TestEqualEyeAnchors:
     def test_unbiased_ook_upper_bound(self):
         # sdj at alpha=1: mu=0, mean pulse 1/2 -> half the reference power
-        g = gains.gain_equal_eye(pulses.PulseSpec("sdj", 1.0), OOK)
+        g = eye_db(pulses.PulseSpec("sdj", 1.0), OOK)
         assert g == pytest.approx(10 * math.log10(2.0), abs=1e-9)
 
     def test_unbiased_4pam(self):
-        g = gains.gain_equal_eye(pulses.PulseSpec("sdj", 1.0), PAM4)
+        g = eye_db(pulses.PulseSpec("sdj", 1.0), PAM4)
         assert g == pytest.approx(10 * math.log10(2.0 / 3.0), abs=1e-9)
 
     def test_biased_ook_from_frozen_bias(self):
-        g = gains.gain_equal_eye(pulses.PulseSpec("rc", 0.6), OOK)
+        g = eye_db(pulses.PulseSpec("rc", 0.6), OOK)
         expected = 10 * math.log10(1.0 / (2.0 * (MU_RC6 + 0.5)))
         assert g == pytest.approx(expected, abs=1e-6)
 
     def test_more_levels_cost_power(self):
         p = pulses.PulseSpec("rc", 0.5)
-        g = [gains.gain_equal_eye(p, bias.Constellation.pam(m))
+        g = [eye_db(p, bias.Constellation.pam(m))
              for m in (2, 4, 8)]
         assert g[0] > g[1] > g[2]
 
     def test_needs_a_nyquist_pulse(self):
         with pytest.raises(UnsupportedError):
-            gains.gain_equal_eye(pulses.PulseSpec("rrc", 0.5), OOK)
+            eye_db(pulses.PulseSpec("rrc", 0.5), OOK)
 
 
 class TestAmpRatioEqualSer:
@@ -112,7 +122,7 @@ class TestAmpRatioEqualSer:
 
 class TestEqualSerAnchors:
     def test_rrc_matched_ook_from_frozen_bias(self):
-        g = gains.gain_equal_ser(
+        g = ser_db(
             "matched", pulses.PulseSpec("rrc", 0.715), OOK, 1e-6)
         expected = 10 * math.log10(math.sqrt(2.0) * 0.5 / (MU_RRC715 + 0.5))
         assert g == pytest.approx(expected, abs=1e-6)
@@ -133,9 +143,26 @@ class TestGainPoint:
         assert pt.mu == pytest.approx(3 * 0.250263596842, abs=3e-8)
 
     def test_equal_ser_point_matches_direct_call(self):
+        # A_ref/A from the link's amplitudes (OOK: ts stays 1)
         p = pulses.PulseSpec("xia", 0.5)
         pt = gains.gain_point("equal-ser", "sampling", p, OOK, 1e-6)
-        assert pt.gain_db == gains.gain_equal_ser("sampling", p, OOK, 1e-6)
+        ref = link.LinkConfig(pulses.PulseSpec("s2", 0.5), OOK)
+        ratio = (link.amplitude_for_ser(ref, 1e-6)
+                 / link.amplitude_for_ser(link.LinkConfig(p, OOK), 1e-6))
+        power = (bias.required_bias(p, OOK).mu
+                 + OOK.mean * pulses.metadata(p).q_bar)
+        assert pt.gain_db == 10.0 * math.log10(ratio * 0.5 / power)
+
+    @pytest.mark.parametrize("family", ["rc", "pl", "xia", "sdj", "s2"])
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_equal_eye_point_is_the_eye_over_twice_the_power(self, family,
+                                                             m):
+        # Delta_a q(0) / (2 P) and (Delta_a q(0) / 2) / P round alike
+        p, c = pulses.PulseSpec(family, 0.35), bias.Constellation.pam(m)
+        meta = pulses.metadata(p)
+        power = bias.required_bias(p, c).mu + c.mean * meta.q_bar
+        assert eye_db(p, c) == 10.0 * math.log10(
+            c.delta_a * meta.q_zero / (2.0 * power))
 
 
 class TestValidReceivers:
@@ -267,13 +294,13 @@ class TestCurveShape:
         fams = ("pl", "rc", "poly", "xia")
         mus = [bias.required_bias(pulses.PulseSpec(f, 0.5), OOK).mu
                for f in fams]
-        gs = [gains.gain_equal_eye(pulses.PulseSpec(f, 0.5), OOK)
+        gs = [eye_db(pulses.PulseSpec(f, 0.5), OOK)
               for f in fams]
         assert np.all(np.diff(mus) > 0)
         assert np.all(np.diff(gs) < 0)
 
     def test_unbiased_families_improve_with_rolloff(self):
         # sdj mean power falls as (1 - alpha/2), so gain rises with alpha
-        g = [gains.gain_equal_eye(pulses.PulseSpec("sdj", a), OOK)
+        g = [eye_db(pulses.PulseSpec("sdj", a), OOK)
              for a in (0.2, 0.6, 1.0)]
         assert g[0] < g[1] < g[2]

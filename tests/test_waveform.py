@@ -333,10 +333,11 @@ class TestEyeDiagram:
 
     def test_trace_count_validation(self):
         # the train sets the trace count: one that holds no block between
-        # its guards has no trace to give
-        train = eye_train(RC6, OOK, 4)[:2 * GUARD_RC6]
-        with pytest.raises(DomainError, match="must hold a block"):
-            waveform.eye_diagram(RC6, OOK, train)
+        # its guards, or a block of one symbol, has no trace to give
+        for block in (0, 1):
+            train = eye_train(RC6, OOK, 4)[:2 * GUARD_RC6 + block]
+            with pytest.raises(DomainError, match="must hold a block"):
+                waveform.eye_diagram(RC6, OOK, train)
 
     @pytest.mark.parametrize("setting", [{"rate": 2.5}, {"rate": 16.0}],
                              ids=["rate-2.5", "rate-16.0"])
